@@ -259,19 +259,42 @@ class ValidationReport:
         return path
 
 
-def validate(accounts: IOAccounts, *, balance_rtol: float = BALANCE_RTOL) -> ValidationReport:
+def _finite_cells(accounts: IOAccounts) -> CheckResult:
+    """Every cell of every table is finite; residual counts the cells that are not."""
+    codes = accounts.codes
+    canonical = [c.value for c in COMPONENT_ORDER]
+    tables = (
+        ("flows", accounts.flows, codes),
+        ("finaldemand", accounts.finaldemand, canonical),
+        ("supply", accounts.supply[:, None], ["supply"]),
+        ("taxdest", accounts.taxdest.statutory[:, None], ["statutory"]),
+        ("taxdest", accounts.taxdest.dest, codes + tuple(canonical)),
+        ("marginshares", accounts.marginshares[:, None], ["marginshare"]),
+    )
+    failures = tuple(
+        f"{table}: {codes[i]} / {columns[j]}: {matrix[i, j]}"
+        for table, matrix, columns in tables
+        for i, j in zip(*np.nonzero(~np.isfinite(matrix)))
+    )
+    return CheckResult(
+        "finite_cells", passed=not failures, residual=float(len(failures)), failures=failures
+    )
+
+
+def validate(accounts: IOAccounts) -> ValidationReport:
     """Run every accounting check and report diagnostics without raising.
 
-    Checks: per-row supply balance, sign rules (flows and supply nonnegative,
-    final demand nonnegative except inventory change), margin-share range, and
-    statutory-vs-destination consistency per row and in total.
+    Checks: every cell finite, per-row supply balance, sign rules (flows and
+    supply nonnegative, final demand nonnegative except inventory change),
+    margin-share range, and statutory-vs-destination consistency per row and
+    in total.
     """
     codes = accounts.codes
-    checks: list[CheckResult] = []
+    checks: list[CheckResult] = [_finite_cells(accounts)]
 
     rowsums = accounts.flows.sum(axis=1) + accounts.finaldemand.sum(axis=1)
     residual = np.abs(accounts.supply - rowsums)
-    allowed = balance_rtol * np.maximum(1.0, np.abs(accounts.supply))
+    allowed = BALANCE_RTOL * np.maximum(1.0, np.abs(accounts.supply))
     bad = residual > allowed
     checks.append(
         CheckResult(
@@ -342,7 +365,7 @@ def validate(accounts: IOAccounts, *, balance_rtol: float = BALANCE_RTOL) -> Val
     destsums = accounts.taxdest.dest.sum(axis=1)
     statutory = accounts.taxdest.statutory
     residual = np.abs(statutory - destsums)
-    allowed = balance_rtol * np.maximum(1.0, np.abs(statutory))
+    allowed = BALANCE_RTOL * np.maximum(1.0, np.abs(statutory))
     bad = residual > allowed
     checks.append(
         CheckResult(
@@ -360,13 +383,14 @@ def validate(accounts: IOAccounts, *, balance_rtol: float = BALANCE_RTOL) -> Val
     total = float(statutory.sum())
     dest_total = float(accounts.taxdest.dest.sum())
     residual_total = abs(total - dest_total)
+    ok = residual_total <= BALANCE_RTOL * max(1.0, abs(total))
     checks.append(
         CheckResult(
             "statutory_total",
-            passed=residual_total <= balance_rtol * max(1.0, abs(total)),
+            passed=ok,
             residual=residual_total,
             failures=()
-            if residual_total <= balance_rtol * max(1.0, abs(total))
+            if ok
             else (f"statutory total {total:.6f} vs destination total {dest_total:.6f}",),
         )
     )
@@ -409,13 +433,12 @@ def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], dict[str, li
     return header[1:], data
 
 
-def _align_rows(
-    table: str, path: Path, data: dict[str, list[float]], codes: tuple[str, ...]
-) -> np.ndarray:
+def _align_rows(path: Path, data: dict[str, list[float]], codes: tuple[str, ...]) -> np.ndarray:
     missing = [c for c in codes if c not in data]
     if missing:
         raise BundleError(f"{path}: missing rows for activities: {', '.join(missing)}")
-    extra = [c for c in data if c not in set(codes)]
+    known = set(codes)
+    extra = [c for c in data if c not in known]
     if extra:
         raise BundleError(f"{path}: unknown activity rows: {', '.join(extra)}")
     return np.array([data[c] for c in codes], dtype=float)
@@ -489,31 +512,23 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
         raise BundleError(f"{manifest_path}: tables missing entries: {', '.join(missing)}")
     paths = {t: manifest_path.parent / tables[t] for t in _TABLE_NAMES}
 
-    header, data = _read_delimited(paths["flows"], delimiter)
-    perm = _column_permutation("flows", paths["flows"], header, list(codes))
-    flows = _align_rows("flows", paths["flows"], data, codes)[:, perm]
+    def read(name: str, wanted: list[str] | None) -> np.ndarray:
+        """Table rows aligned to ``codes``, columns in ``wanted`` order (None: one column)."""
+        header, data = _read_delimited(paths[name], delimiter)
+        if wanted is None:
+            if len(header) != 1:
+                raise BundleError(f"{paths[name]}: {name} table must have one value column")
+            perm = [0]
+        else:
+            perm = _column_permutation(name, paths[name], header, wanted)
+        return _align_rows(paths[name], data, codes)[:, perm]
 
-    header, data = _read_delimited(paths["finaldemand"], delimiter)
-    perm = _column_permutation("finaldemand", paths["finaldemand"], header, canonical)
-    finaldemand = _align_rows("finaldemand", paths["finaldemand"], data, codes)[:, perm]
-
-    header, data = _read_delimited(paths["supply"], delimiter)
-    if len(header) != 1:
-        raise BundleError(f"{paths['supply']}: supply table must have one value column")
-    supply = _align_rows("supply", paths["supply"], data, codes)[:, 0]
-
-    header, data = _read_delimited(paths["taxdest"], delimiter)
-    wanted = ["statutory"] + list(codes) + canonical
-    perm = _column_permutation("taxdest", paths["taxdest"], header, wanted)
-    aligned = _align_rows("taxdest", paths["taxdest"], data, codes)[:, perm]
+    flows = read("flows", list(codes))
+    finaldemand = read("finaldemand", canonical)
+    supply = read("supply", None)[:, 0]
+    aligned = read("taxdest", ["statutory"] + list(codes) + canonical)
     taxdest = TaxDestinationTable(dest=aligned[:, 1:], statutory=aligned[:, 0])
-
-    header, data = _read_delimited(paths["marginshares"], delimiter)
-    if len(header) != 1:
-        raise BundleError(
-            f"{paths['marginshares']}: margin-share table must have one value column"
-        )
-    marginshares = _align_rows("marginshares", paths["marginshares"], data, codes)[:, 0]
+    marginshares = read("marginshares", None)[:, 0]
 
     meta_source = manifest.get("metadata", {})
     if "metadata" in tables:

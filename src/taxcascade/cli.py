@@ -39,10 +39,12 @@ from .margins import MarginError, redistribute_margins
 from .rates import DISPLAY_THRESHOLD, effective_rates
 from .reporting import (
     ND,
+    SUMMARY_KEYS,
     bundle_digests,
     result_record,
     write_final_incidence_table,
     write_first_stage_table,
+    write_json,
     write_margin_audit,
     write_rates_table,
     write_result_json,
@@ -174,15 +176,23 @@ def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
     scale = np.ones(accounts.n)
     index = {code: i for i, code in enumerate(accounts.codes)}
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [
+            (lineno, row)
+            for lineno, row in enumerate(csv.reader(fh), start=1)
+            if any(cell.strip() for cell in row)
+        ]
     if not rows:
         raise ValueError(f"{path}: empty scenario file")
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
+        if len(row) < 2:
+            raise ValueError(f"{path}:{lineno}: expected code,scale, got {row}")
         code = row[0].strip()
         if code not in index:
             raise ValueError(f"{path}:{lineno}: unknown activity code {code!r}")
-        scale[index[code]] = float(row[1])
+        try:
+            scale[index[code]] = float(row[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: scale {row[1]!r} is not a number") from None
     return scale
 
 
@@ -193,16 +203,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
 
     try:
         accounts = load_bundle(manifest)
         print(f"loaded {accounts.n} activities from {manifest}")
 
-        scenario_scale = None
         if args.scenario:
-            scenario_scale = _read_scenario(Path(args.scenario), accounts)
-            accounts = apply_scenario(accounts, scenario_scale)
+            accounts = apply_scenario(accounts, _read_scenario(Path(args.scenario), accounts))
             print(f"applied scenario scales from {args.scenario}")
 
         adjustment = None
@@ -215,42 +222,27 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 f"tax {adjustment.total_tax_moved:.2f}"
             )
 
-        bundle_dir = out / "post_margin_bundle"
-        save_bundle(engine_input, bundle_dir)
-        outputs.append(f"{bundle_dir.name}/manifest.json")
+        written = [save_bundle(engine_input, out / "post_margin_bundle")]
         if adjustment is not None:
-            path = write_margin_audit(adjustment, out / "margin_adjustment.csv")
-            outputs.append(path.name)
+            written.append(write_margin_audit(adjustment, out / "margin_adjustment.csv"))
 
-        system = build_system(
-            engine_input, allow_unredistributed_margins=args.skip_margins
-        )
-        path = write_system_digest(system, out / "system_digest.json")
-        outputs.append(path.name)
+        system = build_system(engine_input, allow_unredistributed_margins=args.skip_margins)
+        written.append(write_system_digest(system, out / "system_digest.json"))
 
         if args.method == "truncated":
             result = propagate_truncated(system, tol=args.tol, maxstages=args.maxstages)
         else:
             result = propagate_closed_form(system)
 
-        report = effective_rates(
-            result, engine_input.finaldemand, threshold=args.threshold
-        )
+        report = effective_rates(result, engine_input.finaldemand, threshold=args.threshold)
 
-        fmt = args.format
-        ext = fmt
-        path = write_first_stage_table(
-            result, out / f"first_stage.{ext}", components=args.components, fmt=fmt
-        )
-        outputs.append(path.name)
-        path = write_final_incidence_table(
-            result, out / f"final_incidence.{ext}", components=args.components, fmt=fmt
-        )
-        outputs.append(path.name)
-        path = write_rates_table(
-            report, out / f"effective_rates.{ext}", components=args.components, fmt=fmt
-        )
-        outputs.append(path.name)
+        for stem, write, data in (
+            ("first_stage", write_first_stage_table, result),
+            ("final_incidence", write_final_incidence_table, result),
+            ("effective_rates", write_rates_table, report),
+        ):
+            path = out / f"{stem}.{args.format}"
+            written.append(write(data, path, components=args.components, fmt=args.format))
 
         tolerances = {
             "conservation_rtol": CONSERVATION_RTOL,
@@ -259,52 +251,30 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "maxstages": args.maxstages,
             "threshold": args.threshold,
         }
-        path = write_result_json(result, out / "result.json", tolerances=tolerances)
-        outputs.append(path.name)
+        written.append(write_result_json(result, out / "result.json", tolerances=tolerances))
 
-        audit = {
-            "bundle": bundle_digests(manifest),
-            "manifest": str(args.manifest),
-            "scenario": args.scenario,
-            "skip_margins": bool(args.skip_margins),
-            "margins": None
+        record = result_record(result, tolerances=tolerances)
+        outputs = [path.relative_to(out).as_posix() for path in written] + ["audit.json"]
+        audit = {key: record[key] for key in SUMMARY_KEYS}
+        audit.update(
+            bundle=bundle_digests(manifest),
+            manifest=str(args.manifest),
+            scenario=args.scenario,
+            skip_margins=bool(args.skip_margins),
+            margins=None
             if adjustment is None
             else {
                 "supply_moved": adjustment.total_supply_moved,
                 "tax_moved": adjustment.total_tax_moved,
             },
-            "method": result.method,
-            "stages": result.stages,
-            "converged": result.converged,
-            "series_residual": result.series_residual,
-            "conservation": {
-                "residual": result.conservation_residual,
-                "relative": result.conservation_relative,
-                "within_tolerance": result.conserved,
+            component_shares={
+                c.value: None if np.isnan(share) else share
+                for c, share in zip(COMPONENT_ORDER, report.component_shares.tolist())
             },
-            "tolerances": tolerances,
-            "totals": {
-                "statutory": result.statutory_total,
-                "final_incidence": result.grand_total,
-                "by_component": {
-                    c.value: float(result.component_totals[c.column])
-                    for c in COMPONENT_ORDER
-                },
-            },
-            "component_shares": {
-                c.value: (
-                    None
-                    if np.isnan(report.component_shares[c.column])
-                    else float(report.component_shares[c.column])
-                )
-                for c in COMPONENT_ORDER
-            },
-            "diagnostics": list(report.diagnostics),
-            "outputs": sorted(outputs + ["audit.json"]),
-        }
-        (out / "audit.json").write_text(
-            json.dumps(audit, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            diagnostics=list(report.diagnostics),
+            outputs=sorted(outputs),
         )
+        write_json(audit, out / "audit.json")
 
         print(
             f"method {result.method}: final incidence {result.grand_total:.2f} "
@@ -317,7 +287,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 f"undelivered tax {result.series_residual:.6f}",
                 file=sys.stderr,
             )
-        print(f"wrote {len(outputs) + 1} files to {out}")
+        print(f"wrote {len(outputs)} files to {out}")
         if not result.converged and not args.allow_residual:
             return 1
         return 0

@@ -30,7 +30,7 @@ CONDITION_LIMIT = 1e12
 #: Default stopping tolerance for the truncated stage loop (fraction of the
 #: first-stage intermediate mass still circulating).
 TRUNCATION_TOL = 1e-12
-#: Default relative tolerance for the conservation identity
+#: Relative tolerance for the conservation identity
 #: total final incidence == total statutory tax.
 CONSERVATION_RTOL = 1e-9
 #: Rows of [intermediate_shares | final_shares] should sum to 1 within this;
@@ -78,7 +78,6 @@ def build_system(
             "or pass allow_unredistributed_margins=True"
         )
     supply = accounts.supply
-    n = accounts.n
     safe = np.where(supply > 0, supply, 1.0)[:, None]
     producing = supply > 0
     shares = np.where(producing[:, None], accounts.flows / safe, 0.0)
@@ -119,20 +118,23 @@ class IncidenceResult:
     """Final incidence of the taxes in one coefficient system.
 
     ``final_incidence = first_stage_final + subsequent_stage``; its grand
-    total must match the statutory total up to ``conservation_rtol`` whenever
-    the stage series converged.
+    total must match the statutory total up to :data:`CONSERVATION_RTOL`
+    whenever the stage series converged.
     """
 
     activities: tuple[Activity, ...]
     first_stage_intermediate: np.ndarray  # (n,)
     first_stage_final: np.ndarray  # (n, 6)
     subsequent_stage: np.ndarray  # (n, 6) incidence arriving after stage one
-    final_incidence: np.ndarray  # (n, 6)
     method: str  # "closed-form" or "truncated"
     stages: int | None  # accumulated stages (truncated only)
     series_residual: float  # tax mass never delivered to final demand
     converged: bool
-    conservation_rtol: float
+
+    @property
+    def final_incidence(self) -> np.ndarray:
+        """(n, 6) incidence on final demand, first stage plus later stages."""
+        return self.first_stage_final + self.subsequent_stage
 
     @property
     def component_totals(self) -> np.ndarray:
@@ -157,7 +159,7 @@ class IncidenceResult:
 
     @property
     def conserved(self) -> bool:
-        return self.conservation_relative <= self.conservation_rtol
+        return self.conservation_relative <= CONSERVATION_RTOL
 
 
 def _result(
@@ -168,19 +170,16 @@ def _result(
     stages: int | None,
     series_residual: float,
     converged: bool,
-    conservation_rtol: float,
 ) -> IncidenceResult:
     return IncidenceResult(
         activities=system.activities,
         first_stage_intermediate=system.intermediate_tax.copy(),
         first_stage_final=system.final_tax.copy(),
         subsequent_stage=subsequent,
-        final_incidence=system.final_tax + subsequent,
         method=method,
         stages=stages,
         series_residual=series_residual,
         converged=converged,
-        conservation_rtol=conservation_rtol,
     )
 
 
@@ -188,7 +187,6 @@ def propagate_closed_form(
     system: CoefficientSystem,
     *,
     condition_limit: float = CONDITION_LIMIT,
-    conservation_rtol: float = CONSERVATION_RTOL,
 ) -> IncidenceResult:
     """Propagate the full stage series at once via a linear solve.
 
@@ -220,26 +218,22 @@ def propagate_closed_form(
         )
     cumulative = lu_solve((lu, piv), system.intermediate_tax)
     subsequent = cumulative[:, None] * system.final_shares
-    result = _result(
+    # The solve itself reports conservation honestly via the residual; zero
+    # final-demand shares with trapped mass show up there, not as an error.
+    return _result(
         system,
         subsequent,
         method="closed-form",
         stages=None,
         series_residual=0.0,
         converged=True,
-        conservation_rtol=conservation_rtol,
     )
-    # The solve itself reports conservation honestly via the residual; zero
-    # final-demand shares with trapped mass show up there, not as an error.
-    return result
 
 
 def propagate_truncated(
     system: CoefficientSystem,
     tol: float = TRUNCATION_TOL,
     maxstages: int = 10000,
-    *,
-    conservation_rtol: float = CONSERVATION_RTOL,
 ) -> IncidenceResult:
     """Propagate stage by stage, truncating the series explicitly.
 
@@ -275,14 +269,13 @@ def propagate_truncated(
         stages=stages,
         series_residual=float(mass.sum()),
         converged=converged,
-        conservation_rtol=conservation_rtol,
     )
 
 
 def apply_scenario(accounts: IOAccounts, scale) -> IOAccounts:
     """Scale each activity's tax-destination row; flows and supply are untouched.
 
-    ``scale`` is a length-n nonnegative vector (1.0 leaves an activity alone,
+    ``scale`` is a length-n finite nonnegative vector (1.0 leaves an activity alone,
     0.0 removes its taxes, 2.0 doubles them).  Statutory amounts are recomputed
     from the scaled destination rows.
     """
@@ -291,10 +284,10 @@ def apply_scenario(accounts: IOAccounts, scale) -> IOAccounts:
         raise ValueError(
             f"scale must have length {accounts.n}, got shape {scale.shape}"
         )
-    if (scale < 0).any():
-        bad = np.flatnonzero(scale < 0)
-        names = ", ".join(accounts.codes[i] for i in bad)
-        raise ValueError(f"negative scenario scale for: {names}")
+    bad = ~(np.isfinite(scale) & (scale >= 0))
+    if bad.any():
+        names = ", ".join(accounts.codes[i] for i in np.flatnonzero(bad))
+        raise ValueError(f"negative or non-finite scenario scale for: {names}")
     dest = accounts.taxdest.dest * scale[:, None]
     return IOAccounts(
         activities=accounts.activities,

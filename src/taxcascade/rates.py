@@ -58,6 +58,16 @@ def _rate_cells(
     return rates, masked
 
 
+def _expenditure_matrix(result: IncidenceResult, expenditure) -> np.ndarray:
+    expenditure = np.asarray(expenditure, dtype=float)
+    n = len(result.activities)
+    if expenditure.shape != (n, N_COMPONENTS):
+        raise ValueError(
+            f"expenditure must be {n}x{N_COMPONENTS}, got {expenditure.shape}"
+        )
+    return expenditure
+
+
 def effective_rates(
     result: IncidenceResult,
     expenditure,
@@ -73,13 +83,7 @@ def effective_rates(
     net base is nonpositive despite expenditure above the threshold are
     masked and reported in ``diagnostics`` rather than raising.
     """
-    expenditure = np.asarray(expenditure, dtype=float)
-    n = len(result.activities)
-    if expenditure.shape != (n, N_COMPONENTS):
-        raise ValueError(
-            f"expenditure must be {n}x{N_COMPONENTS}, got {expenditure.shape}"
-        )
-
+    expenditure = _expenditure_matrix(result, expenditure)
     incidence7 = _with_total_column(result.final_incidence)
     expenditure7 = _with_total_column(expenditure)
     rates, masked = _rate_cells(incidence7, expenditure7, threshold)
@@ -98,12 +102,11 @@ def effective_rates(
     total_expenditure = expenditure7.sum(axis=0, keepdims=True)
     total_rates, total_masked = _rate_cells(total_incidence, total_expenditure, threshold)
 
-    grand = result.grand_total
-    if grand == 0:
+    try:
+        shares = component_shares(result)
+    except ValueError as exc:
         shares = np.full(N_COMPONENTS, np.nan)
-        diagnostics.append("grand-total incidence is zero; component shares undefined")
-    else:
-        shares = 100.0 * result.component_totals / grand
+        diagnostics.append(str(exc))
 
     return RateReport(
         activities=result.activities,
@@ -123,7 +126,7 @@ def component_shares(result: IncidenceResult) -> np.ndarray:
     """Each component's share of grand-total final incidence, in percent."""
     grand = result.grand_total
     if grand == 0:
-        raise ValueError("grand-total incidence is zero; shares are undefined")
+        raise ValueError("grand-total incidence is zero; component shares undefined")
     return 100.0 * result.component_totals / grand
 
 
@@ -141,12 +144,7 @@ def single_rate_equivalent(result: IncidenceResult, expenditure) -> float:
     Grand-total incidence divided by household expenditure net of the
     incidence already borne by households, in percent.
     """
-    expenditure = np.asarray(expenditure, dtype=float)
-    n = len(result.activities)
-    if expenditure.shape != (n, N_COMPONENTS):
-        raise ValueError(
-            f"expenditure must be {n}x{N_COMPONENTS}, got {expenditure.shape}"
-        )
+    expenditure = _expenditure_matrix(result, expenditure)
     household = DemandComponent.HOUSEHOLDS.column
     net_base = float(
         expenditure[:, household].sum() - result.final_incidence[:, household].sum()

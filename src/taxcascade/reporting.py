@@ -39,8 +39,26 @@ def format_number(value: float, precision: int = 0, *, grouped: bool = False) ->
     return plain.translate(str.maketrans({",": ".", ".": ","}))
 
 
-def _cell(value: float, precision: int, grouped: bool) -> str:
-    return format_number(float(value), precision, grouped=grouped)
+def _table_rows(activities, values, totals, precision: int, masked=None) -> list[list[str]]:
+    """One row per activity from (n, k) ``values``, then the Total row from (k,) ``totals``.
+
+    ``masked`` is an optional (n + 1, k) mask of cells written as ND.
+    """
+    cells = np.vstack([values, totals])
+    if masked is None:
+        masked = np.zeros(cells.shape, dtype=bool)
+    labels = [[a.code, a.label] for a in activities] + [["Total", ""]]
+    return [
+        label + [ND if m else format_number(v, precision) for v, m in zip(row, hidden)]
+        for label, row, hidden in zip(labels, cells.tolist(), masked.tolist())
+    ]
+
+
+def write_json(data, path: str | Path) -> Path:
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
+    path = Path(path)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 def _component_columns(
@@ -51,21 +69,14 @@ def _component_columns(
     return indices, names
 
 
-def _write_rows(
-    path: Path, header: list[str], rows: list[list[str]], *, delimiter: str, fmt: str
-) -> Path:
+def _write_rows(path: Path, header: list[str], rows: list[list[str]], *, fmt: str) -> Path:
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
     elif fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        path.write_text(
-            json.dumps({"columns": header, "rows": records}, indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
+        write_json({"columns": header, "rows": [dict(zip(header, row)) for row in rows]}, path)
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     return path
@@ -77,32 +88,17 @@ def write_first_stage_table(
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
     precision: int = MONEY_PRECISION,
-    delimiter: str = ",",
-    grouped: bool = False,
     fmt: str = "csv",
 ) -> Path:
     """Statutory tax and its first-stage split: intermediate vs final demand."""
     idx, names = _component_columns(components)
     header = ["code", "label", "statutory", "intermediate"] + names
     statutory = result.first_stage_intermediate + result.first_stage_final.sum(axis=1)
-    rows = []
-    for i, activity in enumerate(result.activities):
-        rows.append(
-            [activity.code, activity.label]
-            + [_cell(statutory[i], precision, grouped)]
-            + [_cell(result.first_stage_intermediate[i], precision, grouped)]
-            + [_cell(result.first_stage_final[i, j], precision, grouped) for j in idx]
-        )
-    rows.append(
-        ["Total", ""]
-        + [_cell(statutory.sum(), precision, grouped)]
-        + [_cell(result.first_stage_intermediate.sum(), precision, grouped)]
-        + [
-            _cell(result.first_stage_final[:, j].sum(), precision, grouped)
-            for j in idx
-        ]
-    )
-    return _write_rows(Path(path), header, rows, delimiter=delimiter, fmt=fmt)
+    columns = [statutory, result.first_stage_intermediate]
+    columns += [result.first_stage_final[:, j] for j in idx]
+    totals = [c.sum() for c in columns]
+    rows = _table_rows(result.activities, np.column_stack(columns), totals, precision)
+    return _write_rows(Path(path), header, rows, fmt=fmt)
 
 
 def write_final_incidence_table(
@@ -111,8 +107,6 @@ def write_final_incidence_table(
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
     precision: int = MONEY_PRECISION,
-    delimiter: str = ",",
-    grouped: bool = False,
     fmt: str = "csv",
 ) -> Path:
     """Final incidence by component.
@@ -123,20 +117,10 @@ def write_final_incidence_table(
     idx, names = _component_columns(components)
     header = ["code", "label"] + names + ["total"]
     matrix = result.final_incidence
-    row_totals = matrix.sum(axis=1)
-    rows = []
-    for i, activity in enumerate(result.activities):
-        rows.append(
-            [activity.code, activity.label]
-            + [_cell(matrix[i, j], precision, grouped) for j in idx]
-            + [_cell(row_totals[i], precision, grouped)]
-        )
-    rows.append(
-        ["Total", ""]
-        + [_cell(matrix[:, j].sum(), precision, grouped) for j in idx]
-        + [_cell(row_totals.sum(), precision, grouped)]
-    )
-    return _write_rows(Path(path), header, rows, delimiter=delimiter, fmt=fmt)
+    columns = [matrix[:, j] for j in idx] + [matrix.sum(axis=1)]
+    totals = [c.sum() for c in columns]
+    rows = _table_rows(result.activities, np.column_stack(columns), totals, precision)
+    return _write_rows(Path(path), header, rows, fmt=fmt)
 
 
 def write_rates_table(
@@ -145,50 +129,39 @@ def write_rates_table(
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
     precision: int = RATE_PRECISION,
-    delimiter: str = ",",
-    grouped: bool = False,
     fmt: str = "csv",
 ) -> Path:
     """Effective rates with ND where masked; trailing all-components column."""
     idx, names = _component_columns(components)
     columns = idx + [report.rates.shape[1] - 1]
     header = ["code", "label"] + names + ["total"]
-
-    def cell(i: int, j: int) -> str:
-        if report.masked[i, j]:
-            return ND
-        return _cell(report.rates[i, j], precision, grouped)
-
-    rows = []
-    for i, activity in enumerate(report.activities):
-        rows.append([activity.code, activity.label] + [cell(i, j) for j in columns])
-    rows.append(
-        ["Total", ""]
-        + [
-            ND if report.total_masked[j] else _cell(report.total_rates[j], precision, grouped)
-            for j in columns
-        ]
+    masked = np.vstack([report.masked[:, columns], report.total_masked[columns]])
+    rows = _table_rows(
+        report.activities, report.rates[:, columns], report.total_rates[columns], precision, masked
     )
-    return _write_rows(Path(path), header, rows, delimiter=delimiter, fmt=fmt)
+    return _write_rows(Path(path), header, rows, fmt=fmt)
 
 
-def write_margin_audit(
-    adjustment: MarginAdjustment, path: str | Path, *, delimiter: str = ","
-) -> Path:
+def write_margin_audit(adjustment: MarginAdjustment, path: str | Path) -> Path:
     """Net supply and tax deltas per (activity, destination), nonzero cells only."""
     path = Path(path)
     supply_delta = adjustment.supply_delta
     tax_delta = adjustment.tax_delta
+    rows, cols = np.nonzero((supply_delta != 0) | (tax_delta != 0))
+    codes = adjustment.activity_codes
+    labels = adjustment.destination_labels
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["activity", "destination", "supply_delta", "tax_delta"])
-        for i, code in enumerate(adjustment.activity_codes):
-            for j, dest in enumerate(adjustment.destination_labels):
-                if supply_delta[i, j] == 0 and tax_delta[i, j] == 0:
-                    continue
-                writer.writerow(
-                    [code, dest, repr(float(supply_delta[i, j])), repr(float(tax_delta[i, j]))]
-                )
+        writer.writerows(
+            [codes[i], labels[j], repr(s), repr(t)]
+            for i, j, s, t in zip(
+                rows.tolist(),
+                cols.tolist(),
+                supply_delta[rows, cols].tolist(),
+                tax_delta[rows, cols].tolist(),
+            )
+        )
     return path
 
 
@@ -226,14 +199,19 @@ def write_system_digest(system: CoefficientSystem, path: str | Path) -> Path:
             "final_tax": _array_digest(system.final_tax),
         },
     }
-    path = Path(path)
-    path.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return write_json(digest, path)
 
 
-def result_record(result: IncidenceResult, *, tolerances: dict | None = None) -> dict:
-    """Structured form of a result with its audit metadata."""
-    record = {
+#: Keys of :func:`result_record` that make up the run summary; ``audit.json``
+#: repeats them.
+SUMMARY_KEYS = (
+    "method", "stages", "converged", "series_residual", "conservation", "tolerances", "totals"
+)
+
+
+def result_record(result: IncidenceResult, *, tolerances: dict) -> dict:
+    """Structured form of a result: the run summary, then the full arrays."""
+    return {
         "method": result.method,
         "stages": result.stages,
         "converged": result.converged,
@@ -241,9 +219,9 @@ def result_record(result: IncidenceResult, *, tolerances: dict | None = None) ->
         "conservation": {
             "residual": result.conservation_residual,
             "relative": result.conservation_relative,
-            "rtol": result.conservation_rtol,
             "within_tolerance": result.conserved,
         },
+        "tolerances": tolerances,
         "totals": {
             "statutory": result.statutory_total,
             "final_incidence": result.grand_total,
@@ -259,21 +237,10 @@ def result_record(result: IncidenceResult, *, tolerances: dict | None = None) ->
         "subsequent_stage": result.subsequent_stage.tolist(),
         "final_incidence": result.final_incidence.tolist(),
     }
-    if tolerances:
-        record["tolerances"] = tolerances
-    return record
 
 
-def write_result_json(
-    result: IncidenceResult, path: str | Path, *, tolerances: dict | None = None
-) -> Path:
-    path = Path(path)
-    path.write_text(
-        json.dumps(result_record(result, tolerances=tolerances), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path
+def write_result_json(result: IncidenceResult, path: str | Path, *, tolerances: dict) -> Path:
+    return write_json(result_record(result, tolerances=tolerances), path)
 
 
 def file_digest(path: str | Path) -> str:

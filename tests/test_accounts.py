@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -300,3 +302,35 @@ def test_validation_report_json(tmp_path, demo_manifest):
     records = json.loads(path.read_text())
     assert {r["check"] for r in records} >= {"row_balance", "statutory_rows"}
     assert all(r["passed"] for r in records)
+
+
+def corrupt_demo_copy(demo_manifest, directory, table, code, column, text):
+    """Copy the demo bundle with one cell of ``table`` replaced by ``text``."""
+    shutil.copytree(demo_manifest.parent, directory)
+    path = directory / f"{table}.csv"
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    next(r for r in rows if r[0] == code)[rows[0].index(column)] = text
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return directory / demo_manifest.name
+
+
+NON_FINITE_CELLS = [
+    ("flows", "mill", "trade", "nan"),
+    # inf supply passes row_balance, whose allowance scales with |supply|
+    ("supply", "trade", "supply", "inf"),
+]
+
+
+@pytest.mark.parametrize("table, code, column, text", NON_FINITE_CELLS)
+def test_non_finite_cell_fails_validation(tmp_path, demo_manifest, table, code, column, text):
+    manifest = corrupt_demo_copy(demo_manifest, tmp_path / "bad", table, code, column, text)
+    report = validate(load_bundle(manifest, check=False))
+    assert not report.ok
+    check = {c.name: c for c in report.checks}["finite_cells"]
+    assert not check.passed
+    assert check.failures == (f"{table}: {code} / {column}: {text}",)
+    with pytest.raises(BundleError, match="finite_cells: 1 failure") as excinfo:
+        load_bundle(manifest)
+    assert check.failures[0] in str(excinfo.value)

@@ -9,7 +9,7 @@ import pytest
 from taxcascade import save_bundle
 from taxcascade.cli import main
 
-from test_accounts import write_minimal_bundle
+from test_accounts import NON_FINITE_CELLS, corrupt_demo_copy, write_minimal_bundle
 
 
 def read_csv(path):
@@ -149,6 +149,54 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
     ])
     assert rc == 1
     assert "ghost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("code,scale\nfarm\n", "scenario.csv:2: expected code,scale"),
+        ("code,scale\nfarm,2\n\nmill,lots\n", "scenario.csv:4: scale 'lots' is not a number"),
+        ("code,scale\nfarm,nan\n", "non-finite scenario scale for: farm"),
+        ("code,scale\nmill,inf\n", "non-finite scenario scale for: mill"),
+    ],
+    ids=["short-row", "not-a-number", "nan", "inf"],
+)
+def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text, message):
+    scenario = tmp_path / "scenario.csv"
+    scenario.write_text(text, encoding="utf-8")
+    rc = main([
+        "compute",
+        "--manifest", str(demo_manifest),
+        "--scenario", str(scenario),
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("table, code, column, text", NON_FINITE_CELLS)
+def test_non_finite_cell_stops_validate_and_compute(
+    demo_manifest, tmp_path, capsys, table, code, column, text
+):
+    manifest = corrupt_demo_copy(demo_manifest, tmp_path / "bad", table, code, column, text)
+    cell = f"{table}: {code} / {column}: {text}"
+    assert main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "v")]) == 1
+    assert cell in capsys.readouterr().out
+    assert main(["compute", "--manifest", str(manifest), "--out", str(tmp_path / "c")]) == 1
+    assert cell in capsys.readouterr().err
+
+
+def test_audit_repeats_result_summary(demo_manifest, tmp_path):
+    out = tmp_path / "run"
+    assert main(["compute", "--manifest", str(demo_manifest), "--out", str(out)]) == 0
+    audit = json.loads((out / "audit.json").read_text())
+    result = json.loads((out / "result.json").read_text())
+    for key in (
+        "method", "stages", "converged", "series_residual", "conservation", "tolerances", "totals"
+    ):
+        assert audit[key] == result[key], key
 
 
 def test_compute_methods_agree(demo_manifest, tmp_path):

@@ -299,7 +299,8 @@ def test_apply_scenario_identity_and_scaling(demo_manifest):
 
 def test_apply_scenario_rejects_bad_scale(demo_manifest):
     accounts = load_bundle(demo_manifest)
-    with pytest.raises(ValueError, match="negative"):
-        apply_scenario(accounts, [1.0, -0.5, 1.0])
+    for bad in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="negative or non-finite .*: mill"):
+            apply_scenario(accounts, [1.0, bad, 1.0])
     with pytest.raises(ValueError, match="length"):
         apply_scenario(accounts, [1.0, 1.0])

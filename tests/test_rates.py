@@ -41,12 +41,10 @@ def make_result(final_incidence, first_intermediate=None, subsequent=None):
         first_stage_intermediate=np.asarray(first_intermediate, dtype=float),
         first_stage_final=fi - subsequent,
         subsequent_stage=subsequent,
-        final_incidence=fi,
         method="closed-form",
         stages=None,
         series_residual=0.0,
         converged=True,
-        conservation_rtol=1e-9,
     )
 
 
