@@ -250,34 +250,28 @@ class ValidationReport:
             for c in self.checks
         ]
 
-    def write_json(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.to_records(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
+
+def _check(name: str, bad: np.ndarray, residual: float, describe) -> CheckResult:
+    """A check failing on the cells set in ``bad``; ``describe(*index)`` words each one."""
+    failures = tuple(describe(*index) for index in zip(*np.nonzero(bad)))
+    return CheckResult(name, passed=not failures, residual=residual, failures=failures)
 
 
 def _finite_cells(accounts: IOAccounts) -> CheckResult:
     """Every cell of every table is finite; residual counts the cells that are not."""
     codes = accounts.codes
-    canonical = [c.value for c in COMPONENT_ORDER]
-    tables = (
-        ("flows", accounts.flows, codes),
-        ("finaldemand", accounts.finaldemand, canonical),
-        ("supply", accounts.supply[:, None], ["supply"]),
-        ("taxdest", accounts.taxdest.statutory[:, None], ["statutory"]),
-        ("taxdest", accounts.taxdest.dest, codes + tuple(canonical)),
-        ("marginshares", accounts.marginshares[:, None], ["marginshare"]),
-    )
-    failures = tuple(
-        f"{table}: {codes[i]} / {columns[j]}: {matrix[i, j]}"
-        for table, matrix, columns in tables
-        for i, j in zip(*np.nonzero(~np.isfinite(matrix)))
-    )
+    failures: list[str] = []
+    for table, columns, values in _layout(codes):
+        matrix = values(accounts)
+        failures += [
+            f"{table}: {codes[i]} / {columns[j]}: {matrix[i, j]}"
+            for i, j in zip(*np.nonzero(~np.isfinite(matrix)))
+        ]
     return CheckResult(
-        "finite_cells", passed=not failures, residual=float(len(failures)), failures=failures
+        "finite_cells",
+        passed=not failures,
+        residual=float(len(failures)),
+        failures=tuple(failures),
     )
 
 
@@ -287,122 +281,103 @@ def validate(accounts: IOAccounts) -> ValidationReport:
     Checks: every cell finite, per-row supply balance, sign rules (flows and
     supply nonnegative, final demand nonnegative except inventory change),
     margin-share range, and statutory-vs-destination consistency per row and
-    in total.
+    in total.  A bundle with a non-finite cell gets the finiteness check
+    alone, since every other check would compare NaN or inf.
     """
+    finite = _finite_cells(accounts)
+    if not finite.passed:
+        return ValidationReport((finite,))
     codes = accounts.codes
-    checks: list[CheckResult] = [_finite_cells(accounts)]
+    supply = accounts.supply
+    flows = accounts.flows
+    fd = accounts.finaldemand
+    mu = accounts.marginshares
+    statutory = accounts.taxdest.statutory
 
-    rowsums = accounts.flows.sum(axis=1) + accounts.finaldemand.sum(axis=1)
-    residual = np.abs(accounts.supply - rowsums)
-    allowed = BALANCE_RTOL * np.maximum(1.0, np.abs(accounts.supply))
-    bad = residual > allowed
-    checks.append(
-        CheckResult(
-            "row_balance",
-            passed=not bad.any(),
-            residual=float(residual.max(initial=0.0)),
-            failures=tuple(
-                f"{codes[i]}: supply {accounts.supply[i]:.6f} vs row total "
-                f"{rowsums[i]:.6f} (residual {residual[i]:.6f})"
-                for i in np.flatnonzero(bad)
-            ),
-        )
-    )
-
-    neg = accounts.flows < 0
-    checks.append(
-        CheckResult(
-            "flow_signs",
-            passed=not neg.any(),
-            residual=max(0.0, float(-accounts.flows.min(initial=0.0))),
-            failures=tuple(
-                f"{codes[i]} -> {codes[j]}: {accounts.flows[i, j]}"
-                for i, j in zip(*np.nonzero(neg))
-            ),
-        )
-    )
-
+    rowsums = flows.sum(axis=1) + fd.sum(axis=1)
+    row_residual = np.abs(supply - rowsums)
+    destsums = accounts.taxdest.dest.sum(axis=1)
+    statutory_residual = np.abs(statutory - destsums)
     # Inventory change may legitimately be negative (stock drawdowns).
     inventory = DemandComponent.INVENTORY.column
-    fd = accounts.finaldemand
-    neg = fd < 0
-    neg[:, inventory] = False
-    checks.append(
-        CheckResult(
-            "finaldemand_signs",
-            passed=not neg.any(),
-            residual=max(0.0, float(-np.delete(fd, inventory, axis=1).min(initial=0.0))),
-            failures=tuple(
-                f"{codes[i]} / {COMPONENT_ORDER[j].value}: {fd[i, j]}"
-                for i, j in zip(*np.nonzero(neg))
-            ),
-        )
-    )
-
-    neg = accounts.supply < 0
-    checks.append(
-        CheckResult(
-            "supply_signs",
-            passed=not neg.any(),
-            residual=max(0.0, float(-accounts.supply.min(initial=0.0))),
-            failures=tuple(
-                f"{codes[i]}: {accounts.supply[i]}" for i in np.flatnonzero(neg)
-            ),
-        )
-    )
-
-    mu = accounts.marginshares
-    bad = (mu < 0) | (mu > 1)
-    checks.append(
-        CheckResult(
-            "margin_share_range",
-            passed=not bad.any(),
-            residual=max(0.0, float(np.maximum(-mu, mu - 1).max(initial=0.0))),
-            failures=tuple(f"{codes[i]}: {mu[i]}" for i in np.flatnonzero(bad)),
-        )
-    )
-
-    destsums = accounts.taxdest.dest.sum(axis=1)
-    statutory = accounts.taxdest.statutory
-    residual = np.abs(statutory - destsums)
-    allowed = BALANCE_RTOL * np.maximum(1.0, np.abs(statutory))
-    bad = residual > allowed
-    checks.append(
-        CheckResult(
-            "statutory_rows",
-            passed=not bad.any(),
-            residual=float(residual.max(initial=0.0)),
-            failures=tuple(
-                f"{codes[i]}: statutory {statutory[i]:.6f} vs destination sum "
-                f"{destsums[i]:.6f}"
-                for i in np.flatnonzero(bad)
-            ),
-        )
-    )
-
+    fd_negative = fd < 0
+    fd_negative[:, inventory] = False
     total = float(statutory.sum())
     dest_total = float(accounts.taxdest.dest.sum())
-    residual_total = abs(total - dest_total)
-    ok = residual_total <= BALANCE_RTOL * max(1.0, abs(total))
-    checks.append(
-        CheckResult(
-            "statutory_total",
-            passed=ok,
-            residual=residual_total,
-            failures=()
-            if ok
-            else (f"statutory total {total:.6f} vs destination total {dest_total:.6f}",),
-        )
-    )
+    total_residual = abs(total - dest_total)
 
-    return ValidationReport(tuple(checks))
+    return ValidationReport((
+        finite,
+        _check(
+            "row_balance",
+            row_residual > BALANCE_RTOL * np.maximum(1.0, np.abs(supply)),
+            float(row_residual.max(initial=0.0)),
+            lambda i: f"{codes[i]}: supply {supply[i]:.6f} vs row total "
+            f"{rowsums[i]:.6f} (residual {row_residual[i]:.6f})",
+        ),
+        _check(
+            "flow_signs",
+            flows < 0,
+            max(0.0, float(-flows.min(initial=0.0))),
+            lambda i, j: f"{codes[i]} -> {codes[j]}: {flows[i, j]}",
+        ),
+        _check(
+            "finaldemand_signs",
+            fd_negative,
+            max(0.0, float(-np.delete(fd, inventory, axis=1).min(initial=0.0))),
+            lambda i, j: f"{codes[i]} / {COMPONENT_ORDER[j].value}: {fd[i, j]}",
+        ),
+        _check(
+            "supply_signs",
+            supply < 0,
+            max(0.0, float(-supply.min(initial=0.0))),
+            lambda i: f"{codes[i]}: {supply[i]}",
+        ),
+        _check(
+            "margin_share_range",
+            (mu < 0) | (mu > 1),
+            max(0.0, float(np.maximum(-mu, mu - 1).max(initial=0.0))),
+            lambda i: f"{codes[i]}: {mu[i]}",
+        ),
+        _check(
+            "statutory_rows",
+            statutory_residual > BALANCE_RTOL * np.maximum(1.0, np.abs(statutory)),
+            float(statutory_residual.max(initial=0.0)),
+            lambda i: f"{codes[i]}: statutory {statutory[i]:.6f} vs destination sum "
+            f"{destsums[i]:.6f}",
+        ),
+        _check(
+            "statutory_total",
+            np.array([total_residual > BALANCE_RTOL * max(1.0, abs(total))]),
+            total_residual,
+            lambda _: f"statutory total {total:.6f} vs destination total {dest_total:.6f}",
+        ),
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Bundle ingestion
 # ---------------------------------------------------------------------------
 
-_TABLE_NAMES = ("flows", "finaldemand", "supply", "taxdest", "marginshares")
+
+def _layout(codes: tuple[str, ...]) -> tuple:
+    """The five bundle tables, in file order, as (name, value columns, getter).
+
+    ``getter(accounts)`` gives the table's values as an (n, columns) matrix
+    with rows in ``codes`` order.
+    """
+    canonical = [c.value for c in COMPONENT_ORDER]
+    return (
+        ("flows", list(codes), lambda a: a.flows),
+        ("finaldemand", canonical, lambda a: a.finaldemand),
+        ("supply", ["supply"], lambda a: a.supply[:, None]),
+        (
+            "taxdest",
+            ["statutory", *codes, *canonical],
+            lambda a: np.column_stack([a.taxdest.statutory, a.taxdest.dest]),
+        ),
+        ("marginshares", ["marginshare"], lambda a: a.marginshares[:, None]),
+    )
 
 
 def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], dict[str, list[float]]]:
@@ -507,28 +482,22 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
         raise BundleError(f"{manifest_path}: delimiter must be ',' or ';', got {delimiter!r}")
 
     tables = manifest["tables"]
-    missing = [t for t in _TABLE_NAMES if t not in tables]
+    layout = _layout(codes)
+    missing = [name for name, _, _ in layout if name not in tables]
     if missing:
         raise BundleError(f"{manifest_path}: tables missing entries: {', '.join(missing)}")
-    paths = {t: manifest_path.parent / tables[t] for t in _TABLE_NAMES}
 
-    def read(name: str, wanted: list[str] | None) -> np.ndarray:
-        """Table rows aligned to ``codes``, columns in ``wanted`` order (None: one column)."""
-        header, data = _read_delimited(paths[name], delimiter)
-        if wanted is None:
-            if len(header) != 1:
-                raise BundleError(f"{paths[name]}: {name} table must have one value column")
+    aligned = {}
+    for name, wanted, _ in layout:
+        path = manifest_path.parent / tables[name]
+        header, data = _read_delimited(path, delimiter)
+        if name not in ("supply", "marginshares"):
+            perm = _column_permutation(name, path, header, wanted)
+        elif len(header) == 1:  # one-column tables accept any header name
             perm = [0]
         else:
-            perm = _column_permutation(name, paths[name], header, wanted)
-        return _align_rows(paths[name], data, codes)[:, perm]
-
-    flows = read("flows", list(codes))
-    finaldemand = read("finaldemand", canonical)
-    supply = read("supply", None)[:, 0]
-    aligned = read("taxdest", ["statutory"] + list(codes) + canonical)
-    taxdest = TaxDestinationTable(dest=aligned[:, 1:], statutory=aligned[:, 0])
-    marginshares = read("marginshares", None)[:, 0]
+            raise BundleError(f"{path}: {name} table must have one value column")
+        aligned[name] = _align_rows(path, data, codes)[:, perm]
 
     meta_source = manifest.get("metadata", {})
     if "metadata" in tables:
@@ -542,11 +511,13 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     try:
         accounts = IOAccounts(
             activities=tuple(activities),
-            flows=flows,
-            finaldemand=finaldemand,
-            supply=supply,
-            taxdest=taxdest,
-            marginshares=marginshares,
+            flows=aligned["flows"],
+            finaldemand=aligned["finaldemand"],
+            supply=aligned["supply"][:, 0],
+            taxdest=TaxDestinationTable(
+                dest=aligned["taxdest"][:, 1:], statutory=aligned["taxdest"][:, 0]
+            ),
+            marginshares=aligned["marginshares"][:, 0],
             metadata=metadata,
         )
     except ValueError as exc:
@@ -567,46 +538,28 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     return accounts
 
 
-def save_bundle(
-    accounts: IOAccounts, directory: str | Path, *, delimiter: str = ","
-) -> Path:
-    """Serialize accounts as a manifest plus delimited tables; returns the manifest path.
+def save_bundle(accounts: IOAccounts, directory: str | Path) -> Path:
+    """Serialize accounts as a manifest plus comma-delimited tables; returns the manifest path.
 
     Numbers are written with ``repr`` so that a reload reproduces the arrays
     bit for bit.
     """
-    if delimiter not in (",", ";"):
-        raise ValueError(f"delimiter must be ',' or ';', got {delimiter!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    codes = list(accounts.codes)
-    canonical = [c.value for c in COMPONENT_ORDER]
-
-    def write_table(name: str, header: list[str], matrix: np.ndarray) -> str:
-        filename = f"{name}.csv"
-        rows = matrix.reshape(len(codes), -1)
-        with open(directory / filename, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-            writer.writerow(["code"] + header)
-            for code, row in zip(codes, rows):
-                writer.writerow([code] + [repr(float(v)) for v in row])
-        return filename
-
-    tables = {
-        "flows": write_table("flows", codes, accounts.flows),
-        "finaldemand": write_table("finaldemand", canonical, accounts.finaldemand),
-        "supply": write_table("supply", ["supply"], accounts.supply),
-        "taxdest": write_table(
-            "taxdest",
-            ["statutory"] + codes + canonical,
-            np.column_stack([accounts.taxdest.statutory, accounts.taxdest.dest]),
-        ),
-        "marginshares": write_table("marginshares", ["marginshare"], accounts.marginshares),
-    }
+    codes = accounts.codes
+    tables = {}
+    for name, columns, values in _layout(codes):
+        tables[name] = f"{name}.csv"
+        with open(directory / tables[name], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["code", *columns])
+            writer.writerows(
+                [code, *map(repr, row.tolist())] for code, row in zip(codes, values(accounts))
+            )
     manifest = {
         "activities": [{"code": a.code, "label": a.label} for a in accounts.activities],
-        "components": canonical,
-        "delimiter": delimiter,
+        "components": [c.value for c in COMPONENT_ORDER],
+        "delimiter": ",",
         "tables": tables,
         "metadata": accounts.metadata.to_mapping(),
     }

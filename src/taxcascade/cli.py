@@ -48,6 +48,7 @@ from .reporting import (
     write_margin_audit,
     write_rates_table,
     write_result_json,
+    write_rows,
     write_system_digest,
 )
 
@@ -157,7 +158,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = validate(accounts)
-    path = report.write_json(out / "validation_report.json")
+    path = write_json(report.to_records(), out / "validation_report.json")
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
         print(f"{check.name}: {status}" + ("" if check.passed else f" ({len(check.failures)} failure(s))"))
@@ -175,6 +176,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
     scale = np.ones(accounts.n)
     index = {code: i for i, code in enumerate(accounts.codes)}
+    seen = set()
     with open(path, encoding="utf-8-sig", newline="") as fh:
         rows = [
             (lineno, row)
@@ -189,6 +191,9 @@ def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
         code = row[0].strip()
         if code not in index:
             raise ValueError(f"{path}:{lineno}: unknown activity code {code!r}")
+        if code in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate activity code {code!r}")
+        seen.add(code)
         try:
             scale[index[code]] = float(row[1])
         except ValueError:
@@ -374,11 +379,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
             header_b, rows_b = _read_report_table(baseline, stem)
             header_s, rows_s = _read_report_table(scenario, stem)
             header, rows = _diff_table(header_b, rows_b, header_s, rows_s)
-            with open(out / target, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, delimiter=",", lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
-            print(f"wrote {out / target}")
+            print(f"wrote {write_rows(out / target, header, rows, fmt='csv')}")
         return 0
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

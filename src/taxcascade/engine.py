@@ -183,17 +183,13 @@ def _result(
     )
 
 
-def propagate_closed_form(
-    system: CoefficientSystem,
-    *,
-    condition_limit: float = CONDITION_LIMIT,
-) -> IncidenceResult:
+def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
     """Propagate the full stage series at once via a linear solve.
 
     The cumulative intermediate mass v solves (I - shares)' v = intermediate
     tax; the subsequent-stage incidence is v scaled by each activity's
     final-demand shares.  The system is LU-factorized and its condition
-    estimated (LAPACK gecon); an estimate beyond ``condition_limit`` raises
+    estimated (LAPACK gecon); an estimate beyond ``CONDITION_LIMIT`` raises
     :class:`SingularSystemError`, in which case :func:`propagate_truncated`
     can still show how mass circulates in such structures.
     """
@@ -209,11 +205,11 @@ def propagate_closed_form(
     rcond, info = gecon(lu, anorm)
     if info != 0:
         raise SingularSystemError(f"condition estimation failed (info={info})")
-    if rcond == 0 or 1.0 / rcond > condition_limit:
+    if rcond == 0 or 1.0 / rcond > CONDITION_LIMIT:
         estimate = "inf" if rcond == 0 else f"{1.0 / rcond:.3e}"
         raise SingularSystemError(
             f"(I - intermediate_shares) is singular or near-singular "
-            f"(condition estimate {estimate} exceeds {condition_limit:.1e}); "
+            f"(condition estimate {estimate} exceeds {CONDITION_LIMIT:.1e}); "
             "the truncated method can propagate such systems stage by stage"
         )
     cumulative = lu_solve((lu, piv), system.intermediate_tax)

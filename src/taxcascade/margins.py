@@ -26,36 +26,20 @@ class MarginError(ValueError):
 class MarginAdjustment:
     """Audit record of one redistribution, as additive deltas.
 
-    All matrices are (n, n+6): the n intermediate destinations followed by the
-    six final-demand components.  ``removed_*`` rows are nonzero only for
-    margin activities, ``reallocated_*`` rows only for non-margin activities,
-    and each column of ``reallocated_*`` sums to the matching column of
-    ``removed_*``.
+    ``supply_delta`` and ``tax_delta`` are (n, n+6): the n intermediate
+    destinations followed by the six final-demand components.  Adding them to
+    the input's [flows | finaldemand] and destination rows gives the adjusted
+    rows.  Margin activities' rows hold minus the margin fraction removed,
+    the other rows what was reallocated to them, and each column sums to zero
+    up to rounding.  The totals are sums of everything removed.
     """
 
     activity_codes: tuple[str, ...]
     destination_labels: tuple[str, ...]  # n activity codes + 6 component names
-    removed_supply: np.ndarray
-    reallocated_supply: np.ndarray
-    removed_tax: np.ndarray
-    reallocated_tax: np.ndarray
-
-    @property
-    def supply_delta(self) -> np.ndarray:
-        """Net change to [flows | finaldemand], reallocated minus removed."""
-        return self.reallocated_supply - self.removed_supply
-
-    @property
-    def tax_delta(self) -> np.ndarray:
-        return self.reallocated_tax - self.removed_tax
-
-    @property
-    def total_supply_moved(self) -> float:
-        return float(self.removed_supply.sum())
-
-    @property
-    def total_tax_moved(self) -> float:
-        return float(self.removed_tax.sum())
+    supply_delta: np.ndarray
+    tax_delta: np.ndarray
+    total_supply_moved: float
+    total_tax_moved: float
 
 
 def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjustment]:
@@ -78,17 +62,9 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     codes = accounts.codes
     destinations = codes + tuple(c.value for c in COMPONENT_ORDER)
 
-    zeros = np.zeros((n, n + N_COMPONENTS))
-    adjustment = MarginAdjustment(
-        activity_codes=codes,
-        destination_labels=destinations,
-        removed_supply=zeros,
-        reallocated_supply=zeros,
-        removed_tax=zeros,
-        reallocated_tax=zeros,
-    )
     if not margin.any():
-        return accounts, adjustment
+        zeros = np.zeros((n, n + N_COMPONENTS))
+        return accounts, MarginAdjustment(codes, destinations, zeros, zeros, 0.0, 0.0)
 
     dead = margin & (accounts.supply == 0)
     if dead.any():
@@ -120,12 +96,18 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     cols = np.flatnonzero(needs)
     weights[np.ix_(~margin, cols)] = goods_rows[:, cols] / weight_base[cols]
 
-    reallocated_supply = weights * supply_pool
-    reallocated_tax = weights * tax_pool
-
-    new_supply_rows = supply_rows - removed_supply + reallocated_supply
-    new_tax_rows = tax_rows - removed_tax + reallocated_tax
-
+    # Reallocated minus removed, so that rows + delta is bit for bit
+    # rows - removed + reallocated.
+    adjustment = MarginAdjustment(
+        activity_codes=codes,
+        destination_labels=destinations,
+        supply_delta=weights * supply_pool - removed_supply,
+        tax_delta=weights * tax_pool - removed_tax,
+        total_supply_moved=float(removed_supply.sum()),
+        total_tax_moved=float(removed_tax.sum()),
+    )
+    new_supply_rows = supply_rows + adjustment.supply_delta
+    new_tax_rows = tax_rows + adjustment.tax_delta
     adjusted = IOAccounts(
         activities=accounts.activities,
         flows=new_supply_rows[:, :n],
@@ -136,13 +118,5 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
         ),
         marginshares=np.zeros(n),
         metadata=accounts.metadata,
-    )
-    adjustment = MarginAdjustment(
-        activity_codes=codes,
-        destination_labels=destinations,
-        removed_supply=removed_supply,
-        reallocated_supply=reallocated_supply,
-        removed_tax=removed_tax,
-        reallocated_tax=reallocated_tax,
     )
     return adjusted, adjustment

@@ -27,16 +27,9 @@ MONEY_PRECISION = 2
 RATE_PRECISION = 1
 
 
-def format_number(value: float, precision: int = 0, *, grouped: bool = False) -> str:
-    """Format one number, plain ('59917') or thousands-grouped ('59.917').
-
-    Grouped style uses dots for thousands and a comma before any decimals,
-    matching the source-country convention for published tables.
-    """
-    plain = f"{value:,.{precision}f}"
-    if not grouped:
-        return plain.replace(",", "")
-    return plain.translate(str.maketrans({",": ".", ".": ","}))
+def format_number(value: float, precision: int = 0) -> str:
+    """Format one number plainly, with ``precision`` decimals ('59917', '7.0')."""
+    return f"{value:.{precision}f}"
 
 
 def _table_rows(activities, values, totals, precision: int, masked=None) -> list[list[str]]:
@@ -69,7 +62,8 @@ def _component_columns(
     return indices, names
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list[str]], *, fmt: str) -> Path:
+def write_rows(path: Path, header: list[str], rows: list[list[str]], *, fmt: str) -> Path:
+    """A header and rows of strings as CSV, or as JSON records with ``fmt='json'``."""
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -87,7 +81,6 @@ def write_first_stage_table(
     path: str | Path,
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
-    precision: int = MONEY_PRECISION,
     fmt: str = "csv",
 ) -> Path:
     """Statutory tax and its first-stage split: intermediate vs final demand."""
@@ -97,8 +90,8 @@ def write_first_stage_table(
     columns = [statutory, result.first_stage_intermediate]
     columns += [result.first_stage_final[:, j] for j in idx]
     totals = [c.sum() for c in columns]
-    rows = _table_rows(result.activities, np.column_stack(columns), totals, precision)
-    return _write_rows(Path(path), header, rows, fmt=fmt)
+    rows = _table_rows(result.activities, np.column_stack(columns), totals, MONEY_PRECISION)
+    return write_rows(Path(path), header, rows, fmt=fmt)
 
 
 def write_final_incidence_table(
@@ -106,7 +99,6 @@ def write_final_incidence_table(
     path: str | Path,
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
-    precision: int = MONEY_PRECISION,
     fmt: str = "csv",
 ) -> Path:
     """Final incidence by component.
@@ -119,8 +111,8 @@ def write_final_incidence_table(
     matrix = result.final_incidence
     columns = [matrix[:, j] for j in idx] + [matrix.sum(axis=1)]
     totals = [c.sum() for c in columns]
-    rows = _table_rows(result.activities, np.column_stack(columns), totals, precision)
-    return _write_rows(Path(path), header, rows, fmt=fmt)
+    rows = _table_rows(result.activities, np.column_stack(columns), totals, MONEY_PRECISION)
+    return write_rows(Path(path), header, rows, fmt=fmt)
 
 
 def write_rates_table(
@@ -128,7 +120,6 @@ def write_rates_table(
     path: str | Path,
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
-    precision: int = RATE_PRECISION,
     fmt: str = "csv",
 ) -> Path:
     """Effective rates with ND where masked; trailing all-components column."""
@@ -137,9 +128,13 @@ def write_rates_table(
     header = ["code", "label"] + names + ["total"]
     masked = np.vstack([report.masked[:, columns], report.total_masked[columns]])
     rows = _table_rows(
-        report.activities, report.rates[:, columns], report.total_rates[columns], precision, masked
+        report.activities,
+        report.rates[:, columns],
+        report.total_rates[columns],
+        RATE_PRECISION,
+        masked,
     )
-    return _write_rows(Path(path), header, rows, fmt=fmt)
+    return write_rows(Path(path), header, rows, fmt=fmt)
 
 
 def write_margin_audit(adjustment: MarginAdjustment, path: str | Path) -> Path:

@@ -158,8 +158,9 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
         ("code,scale\nfarm,2\n\nmill,lots\n", "scenario.csv:4: scale 'lots' is not a number"),
         ("code,scale\nfarm,nan\n", "non-finite scenario scale for: farm"),
         ("code,scale\nmill,inf\n", "non-finite scenario scale for: mill"),
+        ("code,scale\nfarm,2\nfarm,0\n", "scenario.csv:3: duplicate activity code 'farm'"),
     ],
-    ids=["short-row", "not-a-number", "nan", "inf"],
+    ids=["short-row", "not-a-number", "nan", "inf", "duplicate"],
 )
 def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text, message):
     scenario = tmp_path / "scenario.csv"
@@ -184,8 +185,17 @@ def test_non_finite_cell_stops_validate_and_compute(
     cell = f"{table}: {code} / {column}: {text}"
     assert main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "v")]) == 1
     assert cell in capsys.readouterr().out
+    # the report holds the finiteness check alone, and strict JSON parsers
+    # (no NaN or Infinity tokens) accept it
+    report = (tmp_path / "v" / "validation_report.json").read_text(encoding="utf-8")
+    records = json.loads(report, parse_constant=reject_constant)
+    assert [(r["check"], r["passed"]) for r in records] == [("finite_cells", False)]
     assert main(["compute", "--manifest", str(manifest), "--out", str(tmp_path / "c")]) == 1
     assert cell in capsys.readouterr().err
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def test_audit_repeats_result_summary(demo_manifest, tmp_path):

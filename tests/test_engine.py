@@ -181,12 +181,6 @@ def test_near_singular_gate_both_sides():
     assert result.conserved
 
 
-def test_condition_limit_is_adjustable():
-    system = two_by_two()
-    with pytest.raises(SingularSystemError):
-        propagate_closed_form(system, condition_limit=1.0)
-
-
 def test_truncated_flags_non_convergence():
     system = CoefficientSystem(
         activities=make_activities(2),

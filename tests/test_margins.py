@@ -54,9 +54,10 @@ def test_partial_margin_share(demo_manifest):
     # trade keeps a fifth of its output
     assert adjusted.supply[2] == pytest.approx(0.2 * 50.0, rel=1e-12)
     # households pool is 0.8 * 38; farm and mill split it 20:120
-    realloc = adjustment.reallocated_supply
-    assert realloc[0, 3 + 2] == pytest.approx(30.4 * 20.0 / 140.0, rel=1e-12)
-    assert realloc[1, 3 + 2] == pytest.approx(30.4 * 120.0 / 140.0, rel=1e-12)
+    delta = adjustment.supply_delta
+    assert delta[0, 3 + 2] == pytest.approx(30.4 * 20.0 / 140.0, rel=1e-12)
+    assert delta[1, 3 + 2] == pytest.approx(30.4 * 120.0 / 140.0, rel=1e-12)
+    assert delta[2, 3 + 2] == pytest.approx(-30.4, rel=1e-12)
     # trade's household tax of 4 moves 0.8 * 4 by the same weights
     assert adjusted.taxdest.final[0, 2] == pytest.approx(
         2.0 + 3.2 * 20.0 / 140.0, rel=1e-12
@@ -71,11 +72,21 @@ def test_partial_margin_share(demo_manifest):
 def test_margin_rows_only_lose_goods_rows_only_gain(demo_manifest):
     accounts = load_bundle(demo_manifest)
     _, adjustment = redistribute_margins(accounts)
-    margin = accounts.marginshares > 0
-    assert np.all(adjustment.removed_supply[~margin] == 0)
-    assert np.all(adjustment.reallocated_supply[margin] == 0)
-    assert np.all(adjustment.removed_tax[~margin] == 0)
-    assert np.all(adjustment.reallocated_tax[margin] == 0)
+    mu = accounts.marginshares
+    margin = mu > 0
+    # margin rows lose exactly their margin fraction and receive nothing
+    supply_rows = np.hstack([accounts.flows, accounts.finaldemand])
+    npt.assert_array_equal(
+        adjustment.supply_delta[margin], -(mu[margin, None] * supply_rows[margin])
+    )
+    npt.assert_array_equal(
+        adjustment.tax_delta[margin], -(mu[margin, None] * accounts.taxdest.dest[margin])
+    )
+    # goods rows only receive (the demo's supply and taxes are nonnegative)
+    assert np.all(adjustment.supply_delta[~margin] >= 0)
+    assert np.all(adjustment.tax_delta[~margin] >= 0)
+    assert adjustment.supply_delta[~margin].any()
+    assert adjustment.tax_delta[~margin].any()
 
 
 def test_column_totals_conserved_randomly():
@@ -100,17 +111,12 @@ def test_column_totals_conserved_randomly():
         assert adjusted.supply.sum() == pytest.approx(
             accounts.supply.sum(), rel=1e-9
         )
-        # each reallocated column matches what was removed from it
-        npt.assert_allclose(
-            adjustment.reallocated_supply.sum(axis=0),
-            adjustment.removed_supply.sum(axis=0),
-            rtol=1e-12,
-        )
-        npt.assert_allclose(
-            adjustment.reallocated_tax.sum(axis=0),
-            adjustment.removed_tax.sum(axis=0),
-            rtol=1e-12,
-        )
+        # each column's gain on goods rows matches its loss on margin rows
+        margin = accounts.marginshares > 0
+        for delta in (adjustment.supply_delta, adjustment.tax_delta):
+            npt.assert_allclose(
+                delta[~margin].sum(axis=0), -delta[margin].sum(axis=0), rtol=1e-12
+            )
         assert validate(adjusted).ok
 
 
@@ -120,13 +126,8 @@ def test_adjusted_rows_equal_original_plus_delta():
     adjusted, adjustment = redistribute_margins(accounts)
     before = np.hstack([accounts.flows, accounts.finaldemand])
     after = np.hstack([adjusted.flows, adjusted.finaldemand])
-    npt.assert_allclose(after, before + adjustment.supply_delta, rtol=0, atol=1e-12)
-    npt.assert_allclose(
-        adjusted.taxdest.dest,
-        accounts.taxdest.dest + adjustment.tax_delta,
-        rtol=0,
-        atol=1e-12,
-    )
+    npt.assert_array_equal(after, before + adjustment.supply_delta)
+    npt.assert_array_equal(adjusted.taxdest.dest, accounts.taxdest.dest + adjustment.tax_delta)
 
 
 def test_double_application_is_identity(demo_manifest):

@@ -218,11 +218,9 @@ def test_single_rate_equivalent():
 
 def test_format_number_grouping_styles():
     assert format_number(59917.0) == "59917"
-    assert format_number(59917.0, grouped=True) == "59.917"
     assert format_number(1234567.891, 2) == "1234567.89"
-    assert format_number(1234567.891, 2, grouped=True) == "1.234.567,89"
     assert format_number(7.04, 1) == "7.0"
-    assert format_number(-1234.5, 1, grouped=True) == "-1.234,5"
+    assert format_number(-1234.5, 1) == "-1234.5"
     assert format_number(0.0, 1) == "0.0"
 
 
@@ -249,13 +247,11 @@ def test_rates_table_rendering(tmp_path):
 def test_final_incidence_table_total_includes_hidden_columns(tmp_path):
     fi = np.zeros((1, 6))
     fi[0] = [1.0, 2.0, 3.0, 7.0, 4.0, 5.0]  # isflsf and inventory are hidden
-    path = write_final_incidence_table(
-        make_result(fi), tmp_path / "fi.csv", precision=1
-    )
+    path = write_final_incidence_table(make_result(fi), tmp_path / "fi.csv")
     rows = read_csv(path)
     assert rows[0][-1] == "total"
-    assert rows[1][2:] == ["1.0", "2.0", "3.0", "4.0", "22.0"]
-    assert rows[2] == ["Total", "", "1.0", "2.0", "3.0", "4.0", "22.0"]
+    assert rows[1][2:] == ["1.00", "2.00", "3.00", "4.00", "22.00"]
+    assert rows[2] == ["Total", "", "1.00", "2.00", "3.00", "4.00", "22.00"]
 
 
 def test_first_stage_table_layout(tmp_path):
@@ -263,13 +259,13 @@ def test_first_stage_table_layout(tmp_path):
     fi[0, HH] = 6.0
     fi[1, 0] = 2.0
     result = make_result(fi, first_intermediate=[3.0, 1.0])
-    path = write_first_stage_table(result, tmp_path / "fs.csv", precision=0)
+    path = write_first_stage_table(result, tmp_path / "fs.csv")
     rows = read_csv(path)
     assert rows[0][:4] == ["code", "label", "statutory", "intermediate"]
-    assert rows[1][2] == "9"  # 3 intermediate + 6 households
-    assert rows[1][3] == "3"
+    assert rows[1][2] == "9.00"  # 3 intermediate + 6 households
+    assert rows[1][3] == "3.00"
     assert rows[3][0] == "Total"
-    assert rows[3][2] == "12"
+    assert rows[3][2] == "12.00"
 
 
 def test_tables_support_json_format(tmp_path):
