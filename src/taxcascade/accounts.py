@@ -380,43 +380,106 @@ def _layout(codes: tuple[str, ...]) -> tuple:
     )
 
 
-def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], dict[str, list[float]]]:
-    """Read one table: header row, then one row per activity keyed by code."""
+def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
+    """Read one table: its value-column names, its row codes in file order and
+    the matrix of its values, one row per code.
+
+    numpy's C parser reads the numbers, with no Python object per cell.  A
+    table it cannot take whole (a short or long row, a cell that is not a
+    number, a duplicate code, or a number only ``float()`` reads, such as
+    ``1_000``) is read again by :func:`_read_rows`, which accepts the same
+    input cell by cell and names the line of the first defect.
+    """
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except FileNotFoundError:
         raise BundleError(f"table file not found: {path}") from None
-    reader = csv.reader(text.splitlines(), delimiter=delimiter)
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise BundleError(f"{path}: empty table")
-    header = [cell.strip() for cell in rows[0]]
-    data: dict[str, list[float]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    return _parse_table(lines, delimiter) or _read_rows(path, lines, delimiter)
+
+
+def _parse_table(lines: list[str], delimiter: str) -> tuple | None:
+    """The table parsed by numpy, or None where :func:`_read_rows` must read it."""
+    kept = []
+    for line in lines:
+        if line.lstrip()[:1] not in ("", delimiter, '"'):
+            kept.append(line)  # its first character is part of a cell
+            continue
+        bare = line.replace(delimiter, "")
+        if not bare.strip():
+            continue  # a blank line, or delimiters and spaces only
+        if not bare.replace('"', "").strip():
+            return None  # quotes alone: blank or not as the csv module reads them
+        kept.append(line)
+    if len(kept) < 2:
+        return None
+    reader = csv.reader(kept, delimiter=delimiter)
+    header = [cell.strip() for cell in next(reader)]
+    if reader.line_num > 1 or len(header) < 2:
+        return None  # a quoted header cell spans lines, or there are no value columns
+    codes: list[str] = []
+    try:
+        values = np.loadtxt(
+            kept[1:],
+            delimiter=delimiter,
+            quotechar='"',
+            comments=None,
+            # the code column: keep each code, and give numpy a number for it
+            converters={0: lambda cell: codes.append(cell.strip()) or 0.0},
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    # fewer rows than lines: a quoted cell spans lines and merged them
+    if values.shape != (len(kept) - 1, len(header)) or len(set(codes)) != len(codes):
+        return None
+    return header[1:], codes, values[:, 1:]
+
+
+def _read_rows(path: Path, lines: list[str], delimiter: str) -> tuple:
+    """Read a table row by row with ``float()``; raise at its first defect."""
+    reader = csv.reader(lines, delimiter=delimiter)
+    header = None
+    codes: list[str] = []
+    rows: list[list[float]] = []
+    seen: set[str] = set()
+    for row in reader:
         cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
+        if header is None:
+            header = cells
+            continue
+        lineno = reader.line_num
         if len(cells) != len(header):
             raise BundleError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
             )
         code = cells[0]
-        if code in data:
+        if code in seen:
             raise BundleError(f"{path}:{lineno}: duplicate activity code {code!r}")
+        seen.add(code)
         try:
-            data[code] = [float(cell) for cell in cells[1:]]
+            rows.append([float(cell) for cell in cells[1:]])
         except ValueError as exc:
             raise BundleError(f"{path}:{lineno}: {exc}") from None
-    return header[1:], data
+        codes.append(code)
+    if header is None:
+        raise BundleError(f"{path}: empty table")
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    return header[1:], codes, values
 
 
-def _align_rows(path: Path, data: dict[str, list[float]], codes: tuple[str, ...]) -> np.ndarray:
-    missing = [c for c in codes if c not in data]
+def _row_order(path: Path, row_codes: list[str], codes: tuple[str, ...]) -> list[int]:
+    """Positions in ``row_codes`` of each of ``codes``, which must match it as a set."""
+    position = {code: i for i, code in enumerate(row_codes)}
+    missing = [c for c in codes if c not in position]
     if missing:
         raise BundleError(f"{path}: missing rows for activities: {', '.join(missing)}")
     known = set(codes)
-    extra = [c for c in data if c not in known]
+    extra = [c for c in row_codes if c not in known]
     if extra:
         raise BundleError(f"{path}: unknown activity rows: {', '.join(extra)}")
-    return np.array([data[c] for c in codes], dtype=float)
+    return [position[c] for c in codes]
 
 
 def _column_permutation(table: str, path: Path, header: list[str], wanted: list[str]) -> list[int]:
@@ -424,7 +487,8 @@ def _column_permutation(table: str, path: Path, header: list[str], wanted: list[
         raise BundleError(
             f"{path}: {table} columns {header} do not match expected {wanted}"
         )
-    return [header.index(name) for name in wanted]
+    position = {name: i for i, name in enumerate(header)}
+    return [position[name] for name in wanted]
 
 
 def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
@@ -490,14 +554,17 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     aligned = {}
     for name, wanted, _ in layout:
         path = manifest_path.parent / tables[name]
-        header, data = _read_delimited(path, delimiter)
+        header, row_codes, values = _read_delimited(path, delimiter)
         if name not in ("supply", "marginshares"):
             perm = _column_permutation(name, path, header, wanted)
         elif len(header) == 1:  # one-column tables accept any header name
             perm = [0]
         else:
             raise BundleError(f"{path}: {name} table must have one value column")
-        aligned[name] = _align_rows(path, data, codes)[:, perm]
+        # One copy, column-major as the accounts have always been: numpy's sums
+        # round by memory order, so another layout would change the outputs'
+        # last digits.
+        aligned[name] = values.T[np.ix_(perm, _row_order(path, row_codes, codes))].T
 
     meta_source = manifest.get("metadata", {})
     if "metadata" in tables:

@@ -185,6 +185,9 @@ def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
         ]
     if not rows:
         raise ValueError(f"{path}: empty scenario file")
+    lineno, header = rows[0]
+    if [cell.strip().lower() for cell in header] != ["code", "scale"]:
+        raise ValueError(f"{path}:{lineno}: expected header code,scale")
     for lineno, row in rows[1:]:
         if len(row) < 2:
             raise ValueError(f"{path}:{lineno}: expected code,scale, got {row}")

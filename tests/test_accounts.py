@@ -186,6 +186,87 @@ def test_non_numeric_cell(tmp_path):
         load_bundle(manifest)
 
 
+def test_line_numbers_count_blank_lines(tmp_path):
+    manifest = write_minimal_bundle(
+        tmp_path, edits={"supply.csv": "code,supply\n\n   \n,\nup,abc\ndown,50\n"}
+    )
+    with pytest.raises(BundleError, match=r"supply\.csv:5: could not convert"):
+        load_bundle(manifest)
+
+
+def test_duplicate_code_after_blank_line_names_its_line(tmp_path):
+    manifest = write_minimal_bundle(
+        tmp_path, edits={"supply.csv": "code,supply\nup,100\n\nup,100\ndown,50\n"}
+    )
+    with pytest.raises(BundleError, match=r"supply\.csv:4: duplicate activity code 'up'"):
+        load_bundle(manifest)
+
+
+def test_short_taxdest_row(tmp_path):
+    manifest = write_minimal_bundle(tmp_path)
+    path = tmp_path / "taxdest.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(BundleError, match=r"taxdest\.csv:3: expected 10 columns, got 9"):
+        load_bundle(manifest)
+
+
+def test_byte_order_mark_with_semicolons(tmp_path):
+    plain_dir = tmp_path / "plain"
+    plain_dir.mkdir()
+    plain = load_bundle(write_minimal_bundle(plain_dir, delimiter=";"))
+    bom_dir = tmp_path / "bom"
+    bom_dir.mkdir()
+    manifest = write_minimal_bundle(bom_dir, delimiter=";")
+    for table in ("flows.csv", "fd.csv", "supply.csv", "taxdest.csv", "margins.csv"):
+        path = bom_dir / table
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    accounts = load_bundle(manifest)
+    npt.assert_array_equal(accounts.flows, plain.flows)
+    npt.assert_array_equal(accounts.taxdest.dest, plain.taxdest.dest)
+    npt.assert_array_equal(accounts.supply, [100.0, 50.0])
+
+
+def test_spaces_and_quotes_around_cells(tmp_path):
+    manifest = write_minimal_bundle(
+        tmp_path,
+        edits={
+            "supply.csv": 'code , "supply"\n up ,  100 \n"down","5e1"\n',
+            "flows.csv": 'code,"down",up\n"down", 10,"5 "\n up ,"40",\t20\n',
+        },
+    )
+    accounts = load_bundle(manifest)
+    npt.assert_array_equal(accounts.supply, [100.0, 50.0])
+    npt.assert_array_equal(accounts.flows, [[20.0, 40.0], [5.0, 10.0]])
+
+
+@pytest.mark.parametrize("cell", ["1_00", "１００"], ids=["underscore", "fullwidth-digits"])
+def test_numbers_only_float_reads(tmp_path, cell):
+    # numpy's parser rejects these, so the table is read row by row instead,
+    # to the same arrays in the same memory layout
+    plain_dir = tmp_path / "plain"
+    plain_dir.mkdir()
+    plain = load_bundle(write_minimal_bundle(plain_dir))
+    odd_dir = tmp_path / "odd"
+    odd_dir.mkdir()
+    odd = load_bundle(
+        write_minimal_bundle(odd_dir, edits={"supply.csv": f"code,supply\nup,{cell}\ndown,50\n"})
+    )
+    assert odd.supply[0] == 100.0
+    for name in ("flows", "finaldemand", "supply", "marginshares"):
+        assert getattr(odd, name).strides == getattr(plain, name).strides
+        npt.assert_array_equal(getattr(odd, name), getattr(plain, name))
+
+
+def test_loaded_matrices_are_column_major(demo_manifest):
+    # numpy's sums round by memory order, so the layout the loader gives is
+    # part of what keeps the outputs of every command byte for byte the same
+    accounts = load_bundle(demo_manifest)
+    for matrix in (accounts.flows, accounts.finaldemand, accounts.taxdest.dest):
+        assert matrix.flags.f_contiguous and not matrix.flags.c_contiguous
+
+
 def test_check_false_defers_invariants(tmp_path):
     manifest = write_minimal_bundle(
         tmp_path, edits={"supply.csv": "code,supply\nup,999\ndown,50\n"}

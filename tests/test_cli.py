@@ -159,8 +159,10 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
         ("code,scale\nfarm,nan\n", "non-finite scenario scale for: farm"),
         ("code,scale\nmill,inf\n", "non-finite scenario scale for: mill"),
         ("code,scale\nfarm,2\nfarm,0\n", "scenario.csv:3: duplicate activity code 'farm'"),
+        # without a header the first row would be dropped and farm keep its tax
+        ("\nfarm,0\nmill,0\n", "scenario.csv:2: expected header code,scale"),
     ],
-    ids=["short-row", "not-a-number", "nan", "inf", "duplicate"],
+    ids=["short-row", "not-a-number", "nan", "inf", "duplicate", "no-header"],
 )
 def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text, message):
     scenario = tmp_path / "scenario.csv"
