@@ -68,12 +68,15 @@ _RESERVED_HEADERS = frozenset(
 )
 
 
-def _frozen_array(values, dtype=float, ndim: int | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+def _freeze(obj, **ndims: int) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to a read-only float64
+    view of its value with the given number of dimensions: no copy, same memory order."""
+    for name, ndim in ndims.items():
+        arr = np.asarray(getattr(obj, name), dtype=float).view()
+        if arr.ndim != ndim:
+            raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
@@ -125,15 +128,15 @@ class TaxDestinationTable:
     intermediate-use columns (by purchasing activity) followed by the six
     final-demand components in canonical order.  ``statutory`` is carried
     separately and must agree with the row sums within BALANCE_RTOL; entries
-    are net of subsidies and may be negative.
+    are net of subsidies and may be negative.  Both are read-only views sharing
+    memory with the arrays passed in, as in :class:`IOAccounts`.
     """
 
     dest: np.ndarray
     statutory: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dest", _frozen_array(self.dest, ndim=2))
-        object.__setattr__(self, "statutory", _frozen_array(self.statutory, ndim=1))
+        _freeze(self, dest=2, statutory=1)
         n = self.statutory.shape[0]
         if self.dest.shape != (n, n + N_COMPONENTS):
             raise ValueError(
@@ -161,7 +164,8 @@ class IOAccounts:
 
     All matrices are row-indexed by supplying activity; ``finaldemand`` and the
     final block of the destination table are column-indexed by
-    :data:`COMPONENT_ORDER`.  Arrays are float64 and marked read-only.
+    :data:`COMPONENT_ORDER`.  Arrays are float64 read-only views sharing memory
+    with the arrays passed in: a caller must not write to one after handing it over.
     """
 
     activities: tuple[Activity, ...]
@@ -174,10 +178,7 @@ class IOAccounts:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "activities", tuple(self.activities))
-        object.__setattr__(self, "flows", _frozen_array(self.flows, ndim=2))
-        object.__setattr__(self, "finaldemand", _frozen_array(self.finaldemand, ndim=2))
-        object.__setattr__(self, "supply", _frozen_array(self.supply, ndim=1))
-        object.__setattr__(self, "marginshares", _frozen_array(self.marginshares, ndim=1))
+        _freeze(self, flows=2, finaldemand=2, supply=1, marginshares=1)
         n = len(self.activities)
         if n == 0:
             raise ValueError("accounts need at least one activity")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -38,9 +37,10 @@ from .engine import (
 from .margins import MarginError, redistribute_margins
 from .rates import DISPLAY_THRESHOLD, effective_rates
 from .reporting import (
-    ND,
     SUMMARY_KEYS,
     bundle_digests,
+    diff_tables,
+    read_result_json,
     result_record,
     write_final_incidence_table,
     write_first_stage_table,
@@ -189,7 +189,7 @@ def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
     if [cell.strip().lower() for cell in header] != ["code", "scale"]:
         raise ValueError(f"{path}:{lineno}: expected header code,scale")
     for lineno, row in rows[1:]:
-        if len(row) < 2:
+        if len(row) != 2:
             raise ValueError(f"{path}:{lineno}: expected code,scale, got {row}")
         code = row[0].strip()
         if code not in index:
@@ -259,9 +259,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "maxstages": args.maxstages,
             "threshold": args.threshold,
         }
-        written.append(write_result_json(result, out / "result.json", tolerances=tolerances))
-
-        record = result_record(result, tolerances=tolerances)
+        record = result_record(result, report, tolerances=tolerances, components=args.components)
+        written.append(write_result_json(record, out / "result.json"))
         outputs = [path.relative_to(out).as_posix() for path in written] + ["audit.json"]
         audit = {key: record[key] for key in SUMMARY_KEYS}
         audit.update(
@@ -309,82 +308,20 @@ def cmd_compute(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_report_table(directory: Path, stem: str) -> tuple[list[str], list[list[str]]]:
-    csv_path = directory / f"{stem}.csv"
-    json_path = directory / f"{stem}.json"
-    if csv_path.is_file():
-        with open(csv_path, encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        return rows[0], rows[1:]
-    if json_path.is_file():
-        data = json.loads(json_path.read_text(encoding="utf-8"))
-        header = data["columns"]
-        return header, [[record[col] for col in header] for record in data["rows"]]
-    raise FileNotFoundError(f"no {stem}.csv or {stem}.json in {directory}")
-
-
-def _diff_table(
-    header_b: list[str],
-    rows_b: list[list[str]],
-    header_s: list[str],
-    rows_s: list[list[str]],
-) -> tuple[list[str], list[list[str]]]:
-    if header_b != header_s:
-        raise ValueError(f"column mismatch: {header_b} vs {header_s}")
-    keys_b = [row[0] for row in rows_b]
-    keys_s = [row[0] for row in rows_s]
-    if keys_b != keys_s:
-        raise ValueError(
-            f"row mismatch: baseline has {len(keys_b)} rows, scenario {len(keys_s)}; "
-            "first difference at "
-            + next(
-                (f"{a!r} vs {b!r}" for a, b in zip(keys_b, keys_s) if a != b),
-                "row count",
-            )
-        )
-    value_cols = [i for i, name in enumerate(header_b) if name not in ("code", "label")]
-    out_header = ["code", "label"]
-    for i in value_cols:
-        out_header += [f"{header_b[i]}_delta", f"{header_b[i]}_pct"]
-    out_rows = []
-    for row_b, row_s in zip(rows_b, rows_s):
-        out_row = [row_b[0], row_b[1] if len(row_b) > 1 else ""]
-        for i in value_cols:
-            base, scen = row_b[i], row_s[i]
-            if base == ND or scen == ND:
-                out_row += [ND, ND]
-                continue
-            base_v, scen_v = float(base), float(scen)
-            delta = scen_v - base_v
-            out_row.append(f"{delta:.6f}")
-            if base_v == 0:
-                out_row.append(ND)
-            else:
-                out_row.append(f"{100.0 * delta / abs(base_v):.6f}")
-        out_rows.append(out_row)
-    return out_header, out_rows
-
-
 def cmd_diff(args: argparse.Namespace) -> int:
-    baseline = Path(args.baseline)
-    scenario = Path(args.scenario)
-    for directory in (baseline, scenario):
+    runs = [Path(args.baseline), Path(args.scenario)]
+    for directory in runs:
         if not directory.is_dir():
             print(f"usage error: not a directory: {directory}", file=sys.stderr)
             return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        for stem, target in (
-            ("final_incidence", "final_incidence_diff.csv"),
-            ("effective_rates", "effective_rates_diff.csv"),
-        ):
-            header_b, rows_b = _read_report_table(baseline, stem)
-            header_s, rows_s = _read_report_table(scenario, stem)
-            header, rows = _diff_table(header_b, rows_b, header_s, rows_s)
-            print(f"wrote {write_rows(out / target, header, rows, fmt='csv')}")
+        tables = diff_tables(*(read_result_json(run / "result.json") for run in runs))
+        for stem, (header, rows) in tables.items():
+            print(f"wrote {write_rows(out / f'{stem}_diff.csv', header, rows, fmt='csv')}")
         return 0
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .accounts import COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, DemandComponent
+from .accounts import COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, N_COMPONENTS, DemandComponent
 from .engine import CoefficientSystem, IncidenceResult
 from .margins import MarginAdjustment
 from .rates import RateReport
@@ -32,18 +33,12 @@ def format_number(value: float, precision: int = 0) -> str:
     return f"{value:.{precision}f}"
 
 
-def _table_rows(activities, values, totals, precision: int, masked=None) -> list[list[str]]:
-    """One row per activity from (n, k) ``values``, then the Total row from (k,) ``totals``.
-
-    ``masked`` is an optional (n + 1, k) mask of cells written as ND.
-    """
-    cells = np.vstack([values, totals])
-    if masked is None:
-        masked = np.zeros(cells.shape, dtype=bool)
+def _table_rows(activities, cells: np.ndarray, precision: int) -> list[list[str]]:
+    """One row per activity, then the Total row, from (n + 1, k) ``cells``; NaN is ND."""
     labels = [[a.code, a.label] for a in activities] + [["Total", ""]]
     return [
-        label + [ND if m else format_number(v, precision) for v, m in zip(row, hidden)]
-        for label, row, hidden in zip(labels, cells.tolist(), masked.tolist())
+        label + [ND if math.isnan(v) else format_number(v, precision) for v in row]
+        for label, row in zip(labels, cells.tolist())
     ]
 
 
@@ -54,12 +49,31 @@ def write_json(data, path: str | Path) -> Path:
     return path
 
 
-def _component_columns(
-    components: tuple[DemandComponent, ...],
-) -> tuple[list[int], list[str]]:
+def _component_columns(components: tuple[DemandComponent, ...]) -> tuple[list[int], list[str]]:
+    """Columns and names of the chosen components, in canonical order."""
     indices = [c.column for c in COMPONENT_ORDER if c in components]
-    names = [COMPONENT_ORDER[i].value for i in indices]
-    return indices, names
+    return indices, [COMPONENT_ORDER[i].value for i in indices]
+
+
+def _table_header(components: tuple[DemandComponent, ...]) -> list[str]:
+    """Header of the final-incidence and rate tables."""
+    return ["code", "label"] + _component_columns(components)[1] + ["total"]
+
+
+def incidence_cells(
+    final_incidence: np.ndarray, components: tuple[DemandComponent, ...]
+) -> np.ndarray:
+    """The final-incidence table's (n + 1, k + 1) cells: the shown components and the
+    total over all six (so hidden ones still count), by activity, then the Total row."""
+    idx, _ = _component_columns(components)
+    columns = [final_incidence[:, j] for j in idx] + [final_incidence.sum(axis=1)]
+    return np.vstack([np.column_stack(columns), [c.sum() for c in columns]])
+
+
+def rate_cells(rates: np.ndarray, components: tuple[DemandComponent, ...]) -> np.ndarray:
+    """The rate table's (n + 1, k + 1) cells, NaN where ND, from (n + 1, 7) ``rates``:
+    activities then Total, by the six components then the all-components column."""
+    return rates[:, _component_columns(components)[0] + [N_COMPONENTS]]
 
 
 def write_rows(path: Path, header: list[str], rows: list[list[str]], *, fmt: str) -> Path:
@@ -89,8 +103,8 @@ def write_first_stage_table(
     statutory = result.first_stage_intermediate + result.first_stage_final.sum(axis=1)
     columns = [statutory, result.first_stage_intermediate]
     columns += [result.first_stage_final[:, j] for j in idx]
-    totals = [c.sum() for c in columns]
-    rows = _table_rows(result.activities, np.column_stack(columns), totals, MONEY_PRECISION)
+    cells = np.vstack([np.column_stack(columns), [c.sum() for c in columns]])
+    rows = _table_rows(result.activities, cells, MONEY_PRECISION)
     return write_rows(Path(path), header, rows, fmt=fmt)
 
 
@@ -101,18 +115,10 @@ def write_final_incidence_table(
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
     fmt: str = "csv",
 ) -> Path:
-    """Final incidence by component.
-
-    The total column always sums all six components, even when only a subset
-    is shown, so hidden components remain visible in the totals.
-    """
-    idx, names = _component_columns(components)
-    header = ["code", "label"] + names + ["total"]
-    matrix = result.final_incidence
-    columns = [matrix[:, j] for j in idx] + [matrix.sum(axis=1)]
-    totals = [c.sum() for c in columns]
-    rows = _table_rows(result.activities, np.column_stack(columns), totals, MONEY_PRECISION)
-    return write_rows(Path(path), header, rows, fmt=fmt)
+    """Final incidence by component, with the cells of :func:`incidence_cells`."""
+    cells = incidence_cells(result.final_incidence, components)
+    rows = _table_rows(result.activities, cells, MONEY_PRECISION)
+    return write_rows(Path(path), _table_header(components), rows, fmt=fmt)
 
 
 def write_rates_table(
@@ -122,19 +128,10 @@ def write_rates_table(
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
     fmt: str = "csv",
 ) -> Path:
-    """Effective rates with ND where masked; trailing all-components column."""
-    idx, names = _component_columns(components)
-    columns = idx + [report.rates.shape[1] - 1]
-    header = ["code", "label"] + names + ["total"]
-    masked = np.vstack([report.masked[:, columns], report.total_masked[columns]])
-    rows = _table_rows(
-        report.activities,
-        report.rates[:, columns],
-        report.total_rates[columns],
-        RATE_PRECISION,
-        masked,
-    )
-    return write_rows(Path(path), header, rows, fmt=fmt)
+    """Effective rates, with the cells of :func:`rate_cells` (ND where masked)."""
+    cells = rate_cells(np.vstack([report.rates, report.total_rates]), components)
+    rows = _table_rows(report.activities, cells, RATE_PRECISION)
+    return write_rows(Path(path), _table_header(components), rows, fmt=fmt)
 
 
 def write_margin_audit(adjustment: MarginAdjustment, path: str | Path) -> Path:
@@ -204,8 +201,14 @@ SUMMARY_KEYS = (
 )
 
 
-def result_record(result: IncidenceResult, *, tolerances: dict) -> dict:
-    """Structured form of a result: the run summary, then the full arrays."""
+def result_record(
+    result: IncidenceResult,
+    report: RateReport,
+    *,
+    tolerances: dict,
+    components: tuple[DemandComponent, ...],
+) -> dict:
+    """Structured form of a run: the run summary, then the full arrays diff reads."""
     return {
         "method": result.method,
         "stages": result.stages,
@@ -226,16 +229,74 @@ def result_record(result: IncidenceResult, *, tolerances: dict) -> dict:
             },
         },
         "activities": [a.code for a in result.activities],
+        "labels": [a.label for a in result.activities],
         "components": [c.value for c in COMPONENT_ORDER],
+        "report_components": _component_columns(components)[1],
         "first_stage_intermediate": result.first_stage_intermediate.tolist(),
         "first_stage_final": result.first_stage_final.tolist(),
         "subsequent_stage": result.subsequent_stage.tolist(),
         "final_incidence": result.final_incidence.tolist(),
+        "effective_rates": [
+            [None if math.isnan(v) else v for v in row]
+            for row in np.vstack([report.rates, report.total_rates]).tolist()
+        ],
     }
 
 
-def write_result_json(result: IncidenceResult, path: str | Path, *, tolerances: dict) -> Path:
-    return write_json(result_record(result, tolerances=tolerances), path)
+def write_result_json(record: dict, path: str | Path) -> Path:
+    """A :func:`result_record` as ``result.json``, the file ``diff`` reads."""
+    return write_json(record, path)
+
+
+def read_result_json(path: Path) -> dict:
+    """The record in ``path``; ValueError naming the file if it lacks a key diff reads."""
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    keys = ("activities", "labels", "report_components", "final_incidence", "effective_rates")
+    missing = [key for key in keys if not isinstance(record, dict) or key not in record]
+    if missing:
+        raise ValueError(f"{path}: no {', '.join(missing)}; recompute this run to diff it")
+    return record
+
+
+def _delta_cells(base: list[float], scen: list[float]) -> list[str]:
+    """Delta and pct of each cell pair; both ND where either cell is, pct ND on a 0 base."""
+    cells = []
+    for b, s in zip(base, scen):
+        if math.isnan(b) or math.isnan(s):
+            cells += [ND, ND]
+        else:
+            cells += [f"{s - b:.6f}", ND if b == 0 else f"{100.0 * (s - b) / abs(b):.6f}"]
+    return cells
+
+
+def diff_tables(baseline: dict, scenario: dict) -> dict[str, tuple[list[str], list[list[str]]]]:
+    """Scenario minus baseline: (header, rows) of the final-incidence and rate diffs by stem.
+
+    Each shown column becomes ``<name>_delta`` and ``<name>_pct`` (percent of the baseline's
+    magnitude) from the full-precision cells the tables round.  ValueError when the runs
+    show different columns or activities."""
+    runs = (baseline, scenario)
+    components = [tuple(map(DemandComponent, r["report_components"])) for r in runs]
+    header_b, header_s = map(_table_header, components)
+    if header_b != header_s:
+        raise ValueError(f"column mismatch: {header_b} vs {header_s}")
+    keys_b, keys_s = ([*r["activities"], "Total"] for r in runs)
+    if keys_b != keys_s:
+        first = next((f"{a!r} vs {b!r}" for a, b in zip(keys_b, keys_s) if a != b), "row count")
+        raise ValueError(
+            f"row mismatch: baseline has {len(keys_b)} rows, scenario {len(keys_s)}; "
+            f"first difference at {first}"
+        )
+    header = header_b[:2] + [f"{name}_{x}" for name in header_b[2:] for x in ("delta", "pct")]
+    labels = [[code, label] for code, label in zip(keys_b, [*baseline["labels"], ""])]
+    tables = {}
+    for stem, cells in (("final_incidence", incidence_cells), ("effective_rates", rate_cells)):
+        base, scen = (cells(np.array(r[stem], dtype=float), components[0]).tolist() for r in runs)
+        tables[stem] = (header, [k + _delta_cells(b, s) for k, b, s in zip(labels, base, scen)])
+    return tables
 
 
 def file_digest(path: str | Path) -> str:

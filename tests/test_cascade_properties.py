@@ -1,0 +1,93 @@
+"""Property tests of the cascade over balanced random accounts: incidence and
+rates follow the activities when the manifest lists them in another order,
+and doubling every tax doubles every incidence cell exactly."""
+
+import json
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taxcascade import (
+    IOAccounts,
+    TaxDestinationTable,
+    apply_scenario,
+    build_system,
+    effective_rates,
+    load_bundle,
+    propagate_closed_form,
+    redistribute_margins,
+    save_bundle,
+)
+
+from oracles import make_activities
+
+
+@st.composite
+def economies(draw) -> IOAccounts:
+    """Balanced accounts with subsidies, at least one margin activity and one
+    goods activity, and one idle activity: it has zero supply, buys nothing
+    and carries no tax."""
+    n = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idle = draw(st.integers(0, n - 1))
+    others = [i for i in range(n) if i != idle]
+    margins = rng.choice(others, size=draw(st.integers(1, len(others) - 1)), replace=False)
+
+    flows = rng.uniform(1.0, 100.0, (n, n))
+    finaldemand = rng.uniform(1.0, 100.0, (n, 6))
+    dest = rng.uniform(-1.0, 5.0, (n, n + 6))
+    flows[idle] = flows[:, idle] = finaldemand[idle] = dest[idle] = dest[:, idle] = 0.0
+    marginshares = np.zeros(n)
+    marginshares[margins] = rng.uniform(0.1, 1.0, margins.size)
+    return IOAccounts(
+        activities=make_activities(n),
+        flows=flows,
+        finaldemand=finaldemand,
+        supply=flows.sum(axis=1) + finaldemand.sum(axis=1),
+        taxdest=TaxDestinationTable(dest=dest, statutory=dest.sum(axis=1)),
+        marginshares=marginshares,
+    )
+
+
+def cascade(accounts: IOAccounts):
+    adjusted, _ = redistribute_margins(accounts)
+    result = propagate_closed_form(build_system(adjusted))
+    return result, effective_rates(result, adjusted.finaldemand, threshold=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(accounts=economies(), data=st.data())
+def test_manifest_order_permutes_incidence_and_rates(accounts, data):
+    perm = np.array(data.draw(st.permutations(range(accounts.n))))
+    with tempfile.TemporaryDirectory() as directory:
+        manifest = save_bundle(accounts, directory)
+        spec = json.loads(manifest.read_text(encoding="utf-8"))
+        spec["activities"] = [spec["activities"][i] for i in perm]
+        manifest.write_text(json.dumps(spec), encoding="utf-8")
+        shuffled = load_bundle(manifest)
+    assert shuffled.codes == tuple(accounts.codes[i] for i in perm)
+
+    result, report = cascade(accounts)
+    result_p, report_p = cascade(shuffled)
+    # pivoting and summation order move the last bits, nothing more
+    final = result.final_incidence
+    np.testing.assert_allclose(
+        result_p.final_incidence, final[perm], rtol=0, atol=1e-12 * np.abs(final).max()
+    )
+    np.testing.assert_array_equal(report_p.masked, report.masked[perm])
+    np.testing.assert_array_equal(report_p.total_masked, report.total_masked)
+    rate_scale = np.nanmax(np.abs(report.rates))
+    np.testing.assert_allclose(report_p.rates, report.rates[perm], rtol=0, atol=1e-12 * rate_scale)
+    np.testing.assert_allclose(
+        report_p.total_rates, report.total_rates, rtol=0, atol=1e-12 * rate_scale
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(accounts=economies())
+def test_doubling_every_tax_doubles_incidence_exactly(accounts):
+    result, _ = cascade(accounts)
+    doubled, _ = cascade(apply_scenario(accounts, np.full(accounts.n, 2.0)))
+    np.testing.assert_array_equal(doubled.final_incidence, 2.0 * result.final_incidence)

@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from taxcascade import save_bundle
+from taxcascade import (
+    DemandComponent,
+    apply_scenario,
+    build_system,
+    effective_rates,
+    load_bundle,
+    propagate_closed_form,
+    redistribute_margins,
+    save_bundle,
+)
 from taxcascade.cli import main
 
 from test_accounts import NON_FINITE_CELLS, corrupt_demo_copy, write_minimal_bundle
@@ -155,6 +164,8 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
     "text, message",
     [
         ("code,scale\nfarm\n", "scenario.csv:2: expected code,scale"),
+        # a decimal comma must not run as scale 0
+        ("code,scale\nmill,0,5\n", "scenario.csv:2: expected code,scale, got ['mill', '0', '5']"),
         ("code,scale\nfarm,2\n\nmill,lots\n", "scenario.csv:4: scale 'lots' is not a number"),
         ("code,scale\nfarm,nan\n", "non-finite scenario scale for: farm"),
         ("code,scale\nmill,inf\n", "non-finite scenario scale for: mill"),
@@ -162,7 +173,7 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
         # without a header the first row would be dropped and farm keep its tax
         ("\nfarm,0\nmill,0\n", "scenario.csv:2: expected header code,scale"),
     ],
-    ids=["short-row", "not-a-number", "nan", "inf", "duplicate", "no-header"],
+    ids=["short-row", "long-row", "not-a-number", "nan", "inf", "duplicate", "no-header"],
 )
 def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text, message):
     scenario = tmp_path / "scenario.csv"
@@ -355,6 +366,20 @@ def test_json_table_format(demo_manifest, tmp_path):
 # -- diff --------------------------------------------------------------------
 
 
+def compute_demo(demo_manifest, out, *extra):
+    assert main(["compute", "--manifest", str(demo_manifest), "--out", str(out), *extra]) == 0
+    return json.loads((out / "result.json").read_text())
+
+
+def diff_runs(base, scen, out):
+    assert main(["diff", "--baseline", str(base), "--scenario", str(scen), "--out", str(out)]) == 0
+    return {
+        stem: {row[0]: dict(zip(rows[0], row)) for row in rows[1:]}
+        for stem in ("final_incidence", "effective_rates")
+        for rows in [read_csv(out / f"{stem}_diff.csv")]
+    }
+
+
 def test_diff_identical_runs(demo_manifest, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -382,32 +407,43 @@ def test_diff_identical_runs(demo_manifest, tmp_path):
 
 
 def test_diff_detects_doubling(demo_manifest, tmp_path):
-    base_out = tmp_path / "base"
-    assert main(["compute", "--manifest", str(demo_manifest), "--out", str(base_out)]) == 0
-
+    record = compute_demo(demo_manifest, tmp_path / "base")
     scenario = tmp_path / "double.csv"
     scenario.write_text("code,scale\nfarm,2\nmill,2\ntrade,2\n", encoding="utf-8")
-    scen_out = tmp_path / "scen"
-    assert main([
-        "compute",
-        "--manifest", str(demo_manifest),
-        "--scenario", str(scenario),
-        "--out", str(scen_out),
-    ]) == 0
+    compute_demo(demo_manifest, tmp_path / "scen", "--scenario", str(scenario))
+    diff = diff_runs(tmp_path / "base", tmp_path / "scen", tmp_path / "diff")["final_incidence"]
 
-    diff_out = tmp_path / "diff"
-    assert main([
-        "diff", "--baseline", str(base_out), "--scenario", str(scen_out), "--out", str(diff_out)
-    ]) == 0
-    base_rows = read_csv(base_out / "final_incidence.csv")
-    diff_rows = read_csv(diff_out / "final_incidence_diff.csv")
-    # doubling all taxes doubles all incidence: delta equals baseline value
-    # and cells move by 100 percent (up to the 2-decimal table rounding)
-    for base_row, diff_row in zip(base_rows[1:], diff_rows[1:]):
-        base_total = float(base_row[-1])
-        assert float(diff_row[-2]) == pytest.approx(base_total, abs=0.02)
-        if base_total > 5.0:
-            assert float(diff_row[-1]) == pytest.approx(100.0, abs=0.5)
+    # doubling all taxes doubles every incidence cell exactly, so each delta
+    # is the baseline cell and each nonzero cell moves by exactly 100 percent
+    final = np.array(record["final_incidence"])
+    shown = {"exports": 0, "government": 1, "households": 2, "gfcf": 4}
+    columns = {name: final[:, j] for name, j in shown.items()} | {"total": final.sum(axis=1)}
+    for name, column in columns.items():
+        for code, base in zip(record["activities"] + ["Total"], [*column, column.sum()]):
+            row = diff[code]
+            assert float(row[f"{name}_delta"]) == pytest.approx(base, abs=1e-6), (code, name)
+            assert row[f"{name}_pct"] == ("ND" if base == 0 else "100.000000"), (code, name)
+
+
+def test_diff_is_full_precision(demo_manifest, tmp_path):
+    """Scaling mill by 1.003 moves trade's exports rate by 0.0075 pp; the
+    tables round rates to 0.1, so a diff of them reported 0.1."""
+    scenario = tmp_path / "mill.csv"
+    scenario.write_text("code,scale\nmill,1.003\n", encoding="utf-8")
+    compute_demo(demo_manifest, tmp_path / "base", "--threshold", "0")
+    compute_demo(demo_manifest, tmp_path / "scen", "--threshold", "0", "--scenario", str(scenario))
+    diff = diff_runs(tmp_path / "base", tmp_path / "scen", tmp_path / "diff")["effective_rates"]
+
+    accounts = load_bundle(demo_manifest)
+    rates = []
+    for scale in ([1.0, 1.0, 1.0], [1.0, 1.003, 1.0]):
+        adjusted, _ = redistribute_margins(apply_scenario(accounts, scale))
+        result = propagate_closed_form(build_system(adjusted))
+        rates.append(effective_rates(result, adjusted.finaldemand, threshold=0.0).rates)
+    trade, exports = 2, DemandComponent.EXPORTS.column
+    want = rates[1][trade, exports] - rates[0][trade, exports]
+    assert 0.005 < want < 0.01
+    assert float(diff["trade"]["exports_delta"]) == pytest.approx(want, abs=1e-6)
 
 
 def test_diff_missing_directory(tmp_path):
@@ -419,33 +455,45 @@ def test_diff_missing_directory(tmp_path):
 
 
 def test_diff_row_mismatch(demo_manifest, tmp_path, capsys):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["compute", "--manifest", str(demo_manifest), "--out", str(out)]) == 0
-    rows = read_csv(out2 / "final_incidence.csv")
-    del rows[2]
-    with open(out2 / "final_incidence.csv", "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    compute_demo(demo_manifest, tmp_path / "a")
+    record = compute_demo(demo_manifest, tmp_path / "b")
+    for key in ("activities", "labels", "final_incidence", "effective_rates"):
+        del record[key][1]
+    (tmp_path / "b" / "result.json").write_text(json.dumps(record), encoding="utf-8")
     rc = main([
-        "diff", "--baseline", str(out1), "--scenario", str(out2), "--out", str(tmp_path / "d")
+        "diff", "--baseline", str(tmp_path / "a"), "--scenario", str(tmp_path / "b"),
+        "--out", str(tmp_path / "d"),
     ])
     assert rc == 1
     assert "row mismatch" in capsys.readouterr().err
 
 
-def test_diff_reads_json_tables(demo_manifest, tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    for out in (out1, out2):
-        assert main([
-            "compute", "--manifest", str(demo_manifest), "--format", "json", "--out", str(out)
-        ]) == 0
+def test_diff_rejects_record_without_diff_keys(demo_manifest, tmp_path, capsys):
+    compute_demo(demo_manifest, tmp_path / "a")
+    record = compute_demo(demo_manifest, tmp_path / "b")
+    # the record of a run computed before the diff keys were added
+    for key in ("labels", "report_components", "effective_rates"):
+        del record[key]
+    path = tmp_path / "b" / "result.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
     rc = main([
-        "diff", "--baseline", str(out1), "--scenario", str(out2), "--out", str(tmp_path / "d")
+        "diff", "--baseline", str(tmp_path / "a"), "--scenario", str(tmp_path / "b"),
+        "--out", str(tmp_path / "d"),
     ])
-    assert rc == 0
-    assert (tmp_path / "d" / "final_incidence_diff.csv").is_file()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "effective_rates" in err
+    assert "Traceback" not in err
+
+
+def test_diff_reads_no_display_table(demo_manifest, tmp_path):
+    for name in ("a", "b"):
+        compute_demo(demo_manifest, tmp_path / name, "--format", "json")
+        for stem in ("first_stage", "final_incidence", "effective_rates"):
+            (tmp_path / name / f"{stem}.json").unlink()
+    diff = diff_runs(tmp_path / "a", tmp_path / "b", tmp_path / "d")
+    assert diff["final_incidence"]["Total"]["total_delta"] == "0.000000"
 
 
 # -- entry point -------------------------------------------------------------

@@ -291,6 +291,14 @@ def test_apply_scenario_identity_and_scaling(demo_manifest):
     npt.assert_array_equal(doubled.supply, accounts.supply)
 
 
+def test_apply_scenario_shares_untouched_arrays(demo_manifest):
+    accounts = load_bundle(demo_manifest)
+    scaled = apply_scenario(accounts, np.ones(accounts.n))
+    for name in ("flows", "finaldemand", "supply", "marginshares"):
+        assert np.shares_memory(getattr(scaled, name), getattr(accounts, name)), name
+        assert not getattr(scaled, name).flags.writeable, name
+
+
 def test_apply_scenario_rejects_bad_scale(demo_manifest):
     accounts = load_bundle(demo_manifest)
     for bad in (-0.5, np.nan, np.inf):
