@@ -21,9 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from .accounts import Activity, IOAccounts, N_COMPONENTS, TaxDestinationTable
+from .accounts import Activity, IOAccounts, TaxDestinationTable
 
 #: Abort the closed form when the 1-norm condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
@@ -164,18 +163,21 @@ class IncidenceResult:
 
 def _result(
     system: CoefficientSystem,
-    subsequent: np.ndarray,
+    cumulative: np.ndarray,
     *,
     method: str,
     stages: int | None,
     series_residual: float,
     converged: bool,
 ) -> IncidenceResult:
+    """Both methods end here: ``cumulative`` (n,) is the intermediate mass
+    summed over every stage, and each activity's final-demand shares split it
+    into the subsequent-stage incidence."""
     return IncidenceResult(
         activities=system.activities,
         first_stage_intermediate=system.intermediate_tax.copy(),
         first_stage_final=system.final_tax.copy(),
-        subsequent_stage=subsequent,
+        subsequent_stage=cumulative[:, None] * system.final_shares,
         method=method,
         stages=stages,
         series_residual=series_residual,
@@ -193,6 +195,8 @@ def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
     :class:`SingularSystemError`, in which case :func:`propagate_truncated`
     can still show how mass circulates in such structures.
     """
+    from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+
     n = system.n
     lhs = (np.eye(n) - system.intermediate_shares).T
     anorm = np.linalg.norm(lhs, 1)
@@ -213,12 +217,11 @@ def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
             "the truncated method can propagate such systems stage by stage"
         )
     cumulative = lu_solve((lu, piv), system.intermediate_tax)
-    subsequent = cumulative[:, None] * system.final_shares
     # The solve itself reports conservation honestly via the residual; zero
     # final-demand shares with trapped mass show up there, not as an error.
     return _result(
         system,
-        subsequent,
+        cumulative,
         method="closed-form",
         stages=None,
         series_residual=0.0,
@@ -240,19 +243,25 @@ def propagate_truncated(
     entries cannot fake convergence), or after ``maxstages`` stages with
     ``converged=False``.  Either way the undelivered mass is recorded as
     ``series_residual``, never silently dropped.
+
+    Each stage is one sparse matvec on the supply shares; the mass handed to
+    final demand is summed per activity and split by ``final_shares`` once,
+    after the loop.
     """
+    from scipy.sparse import csr_matrix
+
     if maxstages < 1:
         raise ValueError(f"maxstages must be at least 1, got {maxstages}")
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    shares_t = system.intermediate_shares.T
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    shares_t = csr_matrix(system.intermediate_shares.T)
     scale = float(np.abs(system.intermediate_tax).sum())
-    mass = system.intermediate_tax.copy()
-    subsequent = np.zeros((system.n, N_COMPONENTS))
+    mass = system.intermediate_tax
+    cumulative = np.zeros(system.n)
     stages = 0
     converged = False
     while stages < maxstages:
-        subsequent += mass[:, None] * system.final_shares
+        cumulative += mass
         mass = shares_t @ mass
         stages += 1
         if float(np.abs(mass).sum()) <= tol * scale:
@@ -260,7 +269,7 @@ def propagate_truncated(
             break
     return _result(
         system,
-        subsequent,
+        cumulative,
         method="truncated",
         stages=stages,
         series_residual=float(mass.sum()),

@@ -160,7 +160,9 @@ def test_5_single_rate_equivalent():
 def test_6_method_equivalence_random_systems():
     with verdict(6, "closed form vs truncated on random systems"):
         rng = np.random.default_rng(20210831)
-        propagate_closed_form(random_system(rng, n=10))  # warm-up, untimed
+        warmup = random_system(rng, n=10)  # untimed: loads each method's scipy modules
+        propagate_closed_form(warmup)
+        propagate_truncated(warmup, tol=1e-12, maxstages=10000)
         for trial in range(100):
             system = random_system(rng, n=10)
             t0 = time.perf_counter()

@@ -1,9 +1,12 @@
 """Property tests of the cascade over balanced random accounts: incidence and
 rates follow the activities when the manifest lists them in another order,
-and doubling every tax doubles every incidence cell exactly."""
+doubling every tax doubles every incidence cell exactly on both methods, and
+the closed form, the truncated stage loop and the plain-Python stage oracle
+agree."""
 
 import json
 import tempfile
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,11 +20,12 @@ from taxcascade import (
     effective_rates,
     load_bundle,
     propagate_closed_form,
+    propagate_truncated,
     redistribute_margins,
     save_bundle,
 )
 
-from oracles import make_activities
+from oracles import make_activities, stagewise_final_incidence
 
 
 @st.composite
@@ -49,6 +53,11 @@ def economies(draw) -> IOAccounts:
         taxdest=TaxDestinationTable(dest=dest, statutory=dest.sum(axis=1)),
         marginshares=marginshares,
     )
+
+
+def coefficient_system(accounts: IOAccounts):
+    adjusted, _ = redistribute_margins(accounts)
+    return build_system(adjusted)
 
 
 def cascade(accounts: IOAccounts):
@@ -88,6 +97,33 @@ def test_manifest_order_permutes_incidence_and_rates(accounts, data):
 @settings(max_examples=40, deadline=None)
 @given(accounts=economies())
 def test_doubling_every_tax_doubles_incidence_exactly(accounts):
-    result, _ = cascade(accounts)
-    doubled, _ = cascade(apply_scenario(accounts, np.full(accounts.n, 2.0)))
-    np.testing.assert_array_equal(doubled.final_incidence, 2.0 * result.final_incidence)
+    system = coefficient_system(accounts)
+    doubled_system = coefficient_system(apply_scenario(accounts, np.full(accounts.n, 2.0)))
+    for propagate in (
+        propagate_closed_form,
+        partial(propagate_truncated, tol=1e-12, maxstages=10000),
+    ):
+        result, doubled = propagate(system), propagate(doubled_system)
+        assert doubled.stages == result.stages
+        np.testing.assert_array_equal(doubled.final_incidence, 2.0 * result.final_incidence)
+
+
+@settings(max_examples=40, deadline=None)
+@given(accounts=economies())
+def test_methods_and_stage_oracle_agree(accounts):
+    system = coefficient_system(accounts)
+    closed = propagate_closed_form(system)
+    truncated = propagate_truncated(system, tol=1e-14, maxstages=10000)
+    oracle, _ = stagewise_final_incidence(
+        system.intermediate_shares.tolist(),
+        system.final_shares.tolist(),
+        system.intermediate_tax.tolist(),
+        first_final=system.final_tax.tolist(),
+        settle=1e-14 * float(np.abs(system.intermediate_tax).sum()),
+    )
+    assert truncated.converged
+    assert closed.conserved and truncated.conserved
+    final = closed.final_incidence
+    atol = 1e-9 * np.abs(final).max()
+    np.testing.assert_allclose(truncated.final_incidence, final, rtol=0, atol=atol)
+    np.testing.assert_allclose(np.array(oracle), final, rtol=0, atol=atol)

@@ -279,6 +279,22 @@ def test_truncated_requires_tol_and_maxstages(demo_manifest, tmp_path):
     assert exc.value.code == 2
 
 
+def test_truncated_rejects_infinite_tol(demo_manifest, tmp_path, capsys):
+    # an infinite tolerance would stop after one stage and call it converged
+    rc = main([
+        "compute",
+        "--manifest", str(demo_manifest),
+        "--threshold", "0",
+        "--method", "truncated",
+        "--tol", "inf",
+        "--maxstages", "1000",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 1
+    assert "tol must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "result.json").exists()
+
+
 def test_unknown_component_is_usage_error(demo_manifest, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([
@@ -508,3 +524,17 @@ def test_module_entry_point(demo_manifest, tmp_path):
     )
     assert proc.returncode == 0
     assert "row_balance: ok" in proc.stdout
+
+
+def test_importing_cli_loads_no_scipy():
+    # validate, diff and truncated runs never touch scipy.linalg; each solver
+    # imports what it uses on its first call
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, taxcascade.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -215,8 +215,9 @@ def test_truncated_rejects_bad_arguments():
     system = two_by_two()
     with pytest.raises(ValueError, match="maxstages"):
         propagate_truncated(system, tol=1e-9, maxstages=0)
-    with pytest.raises(ValueError, match="tol"):
-        propagate_truncated(system, tol=-1e-9, maxstages=10)
+    for tol in (-1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            propagate_truncated(system, tol=tol, maxstages=10)
 
 
 def test_incidence_is_linear_in_taxes():
