@@ -210,8 +210,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
         print(f"usage error: manifest not found: {manifest}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     try:
         accounts = load_bundle(manifest)
         print(f"loaded {accounts.n} activities from {manifest}")
@@ -230,20 +228,19 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 f"tax {adjustment.total_tax_moved:.2f}"
             )
 
-        written = [save_bundle(engine_input, out / "post_margin_bundle")]
-        if adjustment is not None:
-            written.append(write_margin_audit(adjustment, out / "margin_adjustment.csv"))
-
         system = build_system(engine_input, allow_unredistributed_margins=args.skip_margins)
-        written.append(write_system_digest(system, out / "system_digest.json"))
-
         if args.method == "truncated":
             result = propagate_truncated(system, tol=args.tol, maxstages=args.maxstages)
         else:
             result = propagate_closed_form(system)
-
         report = effective_rates(result, engine_input.finaldemand, threshold=args.threshold)
 
+        # Every check has passed; only now does anything reach --out.
+        out.mkdir(parents=True, exist_ok=True)
+        written = [save_bundle(engine_input, out / "post_margin_bundle")]
+        if adjustment is not None:
+            written.append(write_margin_audit(adjustment, out / "margin_adjustment.csv"))
+        written.append(write_system_digest(system, out / "system_digest.json"))
         for stem, write, data in (
             ("first_stage", write_first_stage_table, result),
             ("final_incidence", write_final_incidence_table, result),

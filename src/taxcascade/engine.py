@@ -17,12 +17,14 @@ cross-checked in the test suite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .accounts import Activity, IOAccounts, TaxDestinationTable
+from .accounts import N_COMPONENTS, Activity, IOAccounts, TaxDestinationTable
 
 #: Abort the closed form when the 1-norm condition estimate exceeds this.
 CONDITION_LIMIT = 1e12
@@ -35,6 +37,22 @@ CONSERVATION_RTOL = 1e-9
 #: Rows of [intermediate_shares | final_shares] should sum to 1 within this;
 #: beyond it conservation degrades to the imbalance scale and we warn.
 ROW_SHARE_ATOL = 1e-9
+#: Columns of a :func:`first_stage_table` after the six final-demand components.
+INTERMEDIATE, STATUTORY = N_COMPONENTS, N_COMPONENTS + 1
+
+
+def with_totals(matrix: np.ndarray) -> np.ndarray:
+    """(n, k) ``matrix`` with its row-total column, then its Total row: the one place a
+    table's totals are summed.  Each Total-row cell is the correctly rounded sum of its
+    column (``math.fsum``), so it does not depend on the order of the activities."""
+    rows = np.column_stack([matrix, matrix.sum(axis=1)])
+    return np.vstack([rows, [math.fsum(column) for column in rows.T.tolist()]])
+
+
+def first_stage_table(intermediate: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """(n + 1, 8) first-stage tax with totals: the six final-demand components,
+    :data:`INTERMEDIATE`, then :data:`STATUTORY` (their row total)."""
+    return with_totals(np.column_stack([final, intermediate]))
 
 
 class SingularSystemError(RuntimeError):
@@ -57,7 +75,8 @@ class CoefficientSystem:
 
     @property
     def statutory_total(self) -> float:
-        return float(self.intermediate_tax.sum() + self.final_tax.sum())
+        table = first_stage_table(self.intermediate_tax, self.final_tax)
+        return float(table[-1, STATUTORY])
 
 
 def build_system(
@@ -135,17 +154,23 @@ class IncidenceResult:
         """(n, 6) incidence on final demand, first stage plus later stages."""
         return self.first_stage_final + self.subsequent_stage
 
+    @cached_property
+    def incidence_table(self) -> np.ndarray:
+        """(n + 1, 7) final incidence with its totals, from :func:`with_totals`."""
+        return with_totals(self.final_incidence)
+
     @property
     def component_totals(self) -> np.ndarray:
-        return self.final_incidence.sum(axis=0)
+        return self.incidence_table[-1, :-1]
 
     @property
     def grand_total(self) -> float:
-        return float(self.final_incidence.sum())
+        return float(self.incidence_table[-1, -1])
 
-    @property
+    @cached_property
     def statutory_total(self) -> float:
-        return float(self.first_stage_intermediate.sum() + self.first_stage_final.sum())
+        table = first_stage_table(self.first_stage_intermediate, self.first_stage_final)
+        return float(table[-1, STATUTORY])
 
     @property
     def conservation_residual(self) -> float:

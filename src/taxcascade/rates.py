@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounts import Activity, COMPONENT_ORDER, DemandComponent, N_COMPONENTS
-from .engine import CoefficientSystem, IncidenceResult
+from .engine import (
+    INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult, first_stage_table, with_totals
+)
 
 #: Expenditure at or below this (currency millions) is too small for a
 #: meaningful rate and is masked as ND.
@@ -25,27 +27,21 @@ DISPLAY_THRESHOLD = 1000.0
 
 @dataclass(frozen=True)
 class RateReport:
-    """Effective rates by activity and component, plus the totals row.
+    """Effective rates by activity and component, plus the Total row.
 
-    All matrices have one column per :data:`COMPONENT_ORDER` entry plus a
-    trailing total-final-demand column (row sums over all six components).
-    ``rates`` holds NaN wherever ``masked`` is True.
+    All arrays have one column per :data:`COMPONENT_ORDER` entry plus a
+    trailing total-final-demand column; all four are slices of one rate
+    computation on incidence and expenditure with their totals
+    (:func:`~taxcascade.engine.with_totals`).  ``rates`` is NaN where ``masked``.
     """
 
     activities: tuple[Activity, ...]
     rates: np.ndarray  # (n, 7) percent
     masked: np.ndarray  # (n, 7) bool
-    incidence: np.ndarray  # (n, 7)
-    expenditure: np.ndarray  # (n, 7)
     total_rates: np.ndarray  # (7,) percent, from summed incidence/expenditure
     total_masked: np.ndarray  # (7,) bool
     component_shares: np.ndarray  # (6,) percent of grand total, NaN if undefined
-    threshold: float
     diagnostics: tuple[str, ...] = ()
-
-
-def _with_total_column(matrix: np.ndarray) -> np.ndarray:
-    return np.column_stack([matrix, matrix.sum(axis=1)])
 
 
 def _rate_cells(
@@ -58,14 +54,14 @@ def _rate_cells(
     return rates, masked
 
 
-def _expenditure_matrix(result: IncidenceResult, expenditure) -> np.ndarray:
+def _expenditure_table(result: IncidenceResult, expenditure) -> np.ndarray:
     expenditure = np.asarray(expenditure, dtype=float)
     n = len(result.activities)
     if expenditure.shape != (n, N_COMPONENTS):
         raise ValueError(
             f"expenditure must be {n}x{N_COMPONENTS}, got {expenditure.shape}"
         )
-    return expenditure
+    return with_totals(expenditure)
 
 
 def effective_rates(
@@ -83,24 +79,20 @@ def effective_rates(
     net base is nonpositive despite expenditure above the threshold are
     masked and reported in ``diagnostics`` rather than raising.
     """
-    expenditure = _expenditure_matrix(result, expenditure)
-    incidence7 = _with_total_column(result.final_incidence)
-    expenditure7 = _with_total_column(expenditure)
-    rates, masked = _rate_cells(incidence7, expenditure7, threshold)
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    expenditure = _expenditure_table(result, expenditure)
+    rates, masked = _rate_cells(result.incidence_table, expenditure, threshold)
 
     diagnostics = []
     labels = [c.value for c in COMPONENT_ORDER] + ["total"]
-    suspicious = masked & (expenditure7 > threshold)
+    suspicious = masked[:-1] & (expenditure[:-1] > threshold)
     for i, j in zip(*np.nonzero(suspicious)):
         diagnostics.append(
             f"{result.activities[i].code} / {labels[j]}: expenditure "
-            f"{expenditure7[i, j]:.6g} does not exceed incidence "
-            f"{incidence7[i, j]:.6g}; rate masked as ND"
+            f"{expenditure[i, j]:.6g} does not exceed incidence "
+            f"{result.incidence_table[i, j]:.6g}; rate masked as ND"
         )
-
-    total_incidence = incidence7.sum(axis=0, keepdims=True)
-    total_expenditure = expenditure7.sum(axis=0, keepdims=True)
-    total_rates, total_masked = _rate_cells(total_incidence, total_expenditure, threshold)
 
     try:
         shares = component_shares(result)
@@ -110,14 +102,11 @@ def effective_rates(
 
     return RateReport(
         activities=result.activities,
-        rates=rates,
-        masked=masked,
-        incidence=incidence7,
-        expenditure=expenditure7,
-        total_rates=total_rates[0],
-        total_masked=total_masked[0],
+        rates=rates[:-1],
+        masked=masked[:-1],
+        total_rates=rates[-1],
+        total_masked=masked[-1],
         component_shares=shares,
-        threshold=threshold,
         diagnostics=tuple(diagnostics),
     )
 
@@ -132,10 +121,10 @@ def component_shares(result: IncidenceResult) -> np.ndarray:
 
 def first_stage_intermediate_share(system: CoefficientSystem) -> float:
     """Percent of statutory tax that lands on intermediate demand at stage one."""
-    total = system.statutory_total
-    if total == 0:
+    totals = first_stage_table(system.intermediate_tax, system.final_tax)[-1]
+    if totals[STATUTORY] == 0:
         raise ValueError("statutory total is zero; share is undefined")
-    return 100.0 * float(system.intermediate_tax.sum()) / total
+    return float(100.0 * totals[INTERMEDIATE] / totals[STATUTORY])
 
 
 def single_rate_equivalent(result: IncidenceResult, expenditure) -> float:
@@ -144,11 +133,9 @@ def single_rate_equivalent(result: IncidenceResult, expenditure) -> float:
     Grand-total incidence divided by household expenditure net of the
     incidence already borne by households, in percent.
     """
-    expenditure = _expenditure_matrix(result, expenditure)
     household = DemandComponent.HOUSEHOLDS.column
-    net_base = float(
-        expenditure[:, household].sum() - result.final_incidence[:, household].sum()
-    )
+    spent = _expenditure_table(result, expenditure)[-1, household]
+    net_base = float(spent - result.component_totals[household])
     if net_base <= 0:
         raise ValueError(f"household net expenditure base must be positive, got {net_base}")
     return 100.0 * result.grand_total / net_base

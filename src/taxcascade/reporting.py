@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .accounts import COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, N_COMPONENTS, DemandComponent
-from .engine import CoefficientSystem, IncidenceResult
+from .engine import (
+    INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult, first_stage_table, with_totals
+)
 from .margins import MarginAdjustment
 from .rates import RateReport
 
@@ -64,10 +66,9 @@ def incidence_cells(
     final_incidence: np.ndarray, components: tuple[DemandComponent, ...]
 ) -> np.ndarray:
     """The final-incidence table's (n + 1, k + 1) cells: the shown components and the
-    total over all six (so hidden ones still count), by activity, then the Total row."""
-    idx, _ = _component_columns(components)
-    columns = [final_incidence[:, j] for j in idx] + [final_incidence.sum(axis=1)]
-    return np.vstack([np.column_stack(columns), [c.sum() for c in columns]])
+    total over all six (so hidden ones still count), by activity, then the Total row,
+    from the totals of :func:`~taxcascade.engine.with_totals`."""
+    return with_totals(final_incidence)[:, _component_columns(components)[0] + [N_COMPONENTS]]
 
 
 def rate_cells(rates: np.ndarray, components: tuple[DemandComponent, ...]) -> np.ndarray:
@@ -100,10 +101,8 @@ def write_first_stage_table(
     """Statutory tax and its first-stage split: intermediate vs final demand."""
     idx, names = _component_columns(components)
     header = ["code", "label", "statutory", "intermediate"] + names
-    statutory = result.first_stage_intermediate + result.first_stage_final.sum(axis=1)
-    columns = [statutory, result.first_stage_intermediate]
-    columns += [result.first_stage_final[:, j] for j in idx]
-    cells = np.vstack([np.column_stack(columns), [c.sum() for c in columns]])
+    table = first_stage_table(result.first_stage_intermediate, result.first_stage_final)
+    cells = table[:, [STATUTORY, INTERMEDIATE] + idx]
     rows = _table_rows(result.activities, cells, MONEY_PRECISION)
     return write_rows(Path(path), header, rows, fmt=fmt)
 
@@ -164,25 +163,16 @@ def _array_digest(arr: np.ndarray) -> str:
 def write_system_digest(system: CoefficientSystem, path: str | Path) -> Path:
     """Checkable summary of a coefficient system (shapes, totals, checksums)."""
     rowsums = system.intermediate_shares.sum(axis=1) + system.final_shares.sum(axis=1)
-    supplyless = [
-        a.code
-        for a, total in zip(system.activities, rowsums)
-        if total == 0
-    ]
+    supplyless = [a.code for a, total in zip(system.activities, rowsums) if total == 0]
+    totals = first_stage_table(system.intermediate_tax, system.final_tax)[-1].tolist()
     digest = {
         "activities": len(system.activities),
         "zero_share_rows": supplyless,
-        "share_row_sums": {
-            "min": float(rowsums.min()),
-            "max": float(rowsums.max()),
-        },
+        "share_row_sums": {"min": float(rowsums.min()), "max": float(rowsums.max())},
         "first_stage": {
-            "intermediate_total": float(system.intermediate_tax.sum()),
-            "final_totals": {
-                c.value: float(system.final_tax[:, c.column].sum())
-                for c in COMPONENT_ORDER
-            },
-            "statutory_total": system.statutory_total,
+            "intermediate_total": totals[INTERMEDIATE],
+            "final_totals": {c.value: totals[c.column] for c in COMPONENT_ORDER},
+            "statutory_total": totals[STATUTORY],
         },
         "sha256": {
             "intermediate_shares": _array_digest(system.intermediate_shares),
@@ -209,6 +199,7 @@ def result_record(
     components: tuple[DemandComponent, ...],
 ) -> dict:
     """Structured form of a run: the run summary, then the full arrays diff reads."""
+    totals = result.incidence_table[-1].tolist()
     return {
         "method": result.method,
         "stages": result.stages,
@@ -222,11 +213,8 @@ def result_record(
         "tolerances": tolerances,
         "totals": {
             "statutory": result.statutory_total,
-            "final_incidence": result.grand_total,
-            "by_component": {
-                c.value: float(result.component_totals[c.column])
-                for c in COMPONENT_ORDER
-            },
+            "final_incidence": totals[-1],
+            "by_component": {c.value: totals[c.column] for c in COMPONENT_ORDER},
         },
         "activities": [a.code for a in result.activities],
         "labels": [a.label for a in result.activities],

@@ -1,8 +1,9 @@
 """Property tests of the cascade over balanced random accounts: incidence and
 rates follow the activities when the manifest lists them in another order,
-doubling every tax doubles every incidence cell exactly on both methods, and
-the closed form, the truncated stage loop and the plain-Python stage oracle
-agree."""
+doubling every tax doubles every incidence cell exactly on both methods,
+incidence is linear in the scenario scales, both methods conserve tax, the
+closed form, the truncated stage loop and the plain-Python stage oracle
+agree, and a run's recorded totals are the Total row of its table."""
 
 import json
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxcascade import (
+    COMPONENT_ORDER,
     IOAccounts,
     TaxDestinationTable,
     apply_scenario,
@@ -24,6 +26,7 @@ from taxcascade import (
     redistribute_margins,
     save_bundle,
 )
+from taxcascade.reporting import incidence_cells, result_record
 
 from oracles import make_activities, stagewise_final_incidence
 
@@ -53,6 +56,9 @@ def economies(draw) -> IOAccounts:
         taxdest=TaxDestinationTable(dest=dest, statutory=dest.sum(axis=1)),
         marginshares=marginshares,
     )
+
+
+METHODS = (propagate_closed_form, partial(propagate_truncated, tol=1e-12, maxstages=10000))
 
 
 def coefficient_system(accounts: IOAccounts):
@@ -99,10 +105,7 @@ def test_manifest_order_permutes_incidence_and_rates(accounts, data):
 def test_doubling_every_tax_doubles_incidence_exactly(accounts):
     system = coefficient_system(accounts)
     doubled_system = coefficient_system(apply_scenario(accounts, np.full(accounts.n, 2.0)))
-    for propagate in (
-        propagate_closed_form,
-        partial(propagate_truncated, tol=1e-12, maxstages=10000),
-    ):
+    for propagate in METHODS:
         result, doubled = propagate(system), propagate(doubled_system)
         assert doubled.stages == result.stages
         np.testing.assert_array_equal(doubled.final_incidence, 2.0 * result.final_incidence)
@@ -127,3 +130,38 @@ def test_methods_and_stage_oracle_agree(accounts):
     atol = 1e-9 * np.abs(final).max()
     np.testing.assert_allclose(truncated.final_incidence, final, rtol=0, atol=atol)
     np.testing.assert_allclose(np.array(oracle), final, rtol=0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(accounts=economies())
+def test_both_methods_conserve_tax(accounts):
+    system = coefficient_system(accounts)
+    for propagate in METHODS:
+        assert propagate(system).conserved
+
+
+#: Eight scenario scales in [0, 3] in steps of 0.01; an economy uses its first n.
+scales = st.lists(st.integers(0, 300).map(lambda k: k / 100), min_size=8, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(accounts=economies(), s1=scales, s2=scales)
+def test_incidence_is_linear_in_the_scale_vector(accounts, s1, s2):
+    s1, s2 = np.array(s1[: accounts.n]), np.array(s2[: accounts.n])
+    systems = [coefficient_system(apply_scenario(accounts, s)) for s in (s1 + s2, s1, s2)]
+    for propagate in METHODS:
+        both, first, second = (propagate(system).final_incidence for system in systems)
+        atol = 1e-9 * np.abs(both).max()
+        np.testing.assert_allclose(first + second, both, rtol=0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(accounts=economies())
+def test_recorded_totals_are_the_table_total_row(accounts):
+    result, report = cascade(accounts)
+    record = result_record(result, report, tolerances={}, components=COMPONENT_ORDER)
+    final = np.array(record["final_incidence"])
+    total_row = incidence_cells(final, COMPONENT_ORDER)[-1].tolist()
+    totals = record["totals"]
+    assert [totals["by_component"][c.value] for c in COMPONENT_ORDER] == total_row[:-1]
+    assert totals["final_incidence"] == total_row[-1]

@@ -293,6 +293,16 @@ def test_truncated_rejects_infinite_tol(demo_manifest, tmp_path, capsys):
     assert rc == 1
     assert "tol must be finite and nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "run" / "result.json").exists()
+    assert not list((tmp_path / "run").rglob("*"))
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_non_finite_threshold_fails_before_writing(demo_manifest, tmp_path, capsys, threshold):
+    out = tmp_path / "run"
+    rc = main(["compute", "--manifest", str(demo_manifest), "--threshold", threshold, "--out", str(out)])
+    assert rc == 1
+    assert f"threshold must be finite, got {threshold}" in capsys.readouterr().err
+    assert not list(out.rglob("*"))
 
 
 def test_unknown_component_is_usage_error(demo_manifest, tmp_path):
@@ -358,6 +368,20 @@ def test_closed_form_on_singular_bundle_fails(tmp_path, accounts_factory, capsys
     rc = main(["compute", "--manifest", str(manifest), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert "truncated" in capsys.readouterr().err
+    assert not list((tmp_path / "run").rglob("*"))
+
+
+def test_nonconvergent_run_still_writes_every_output(tmp_path, accounts_factory):
+    manifest = loop_bundle(tmp_path, accounts_factory)
+    out = tmp_path / "run"
+    rc = main([
+        "compute", "--manifest", str(manifest), "--method", "truncated",
+        "--tol", "1e-9", "--maxstages", "50", "--out", str(out),
+    ])
+    assert rc == 1
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["converged"] is False
+    assert all((out / name).exists() for name in audit["outputs"])
 
 
 def test_out_dir_env_default(demo_manifest, tmp_path, monkeypatch):

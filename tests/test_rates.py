@@ -9,14 +9,20 @@ from taxcascade import (
     COMPONENT_ORDER,
     CoefficientSystem,
     IncidenceResult,
+    build_system,
     component_shares,
     effective_rates,
     first_stage_intermediate_share,
+    propagate_closed_form,
+    redistribute_margins,
     single_rate_equivalent,
 )
+from taxcascade.accounts import DEFAULT_REPORT_COMPONENTS
+from taxcascade.engine import with_totals
 from taxcascade.reporting import (
     ND,
     format_number,
+    incidence_cells,
     write_final_incidence_table,
     write_first_stage_table,
     write_rates_table,
@@ -94,7 +100,6 @@ def test_threshold_masks_small_expenditure():
     expenditure[0, HH] = 1000.0  # at the threshold: masked
     expenditure[1, HH] = 1000.01  # just above: not masked
     report = effective_rates(make_result(fi), expenditure)
-    assert report.threshold == 1000.0
     assert report.masked[0, HH]
     assert np.isnan(report.rates[0, HH])
     assert not report.masked[1, HH]
@@ -149,10 +154,24 @@ def test_total_column_is_all_six_components():
     fi[0, :] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     expenditure = np.full((1, 6), 4000.0)
     report = effective_rates(make_result(fi), expenditure, threshold=0.0)
-    assert report.incidence.shape == (1, 7)
-    assert report.incidence[0, 6] == pytest.approx(21.0)
-    assert report.expenditure[0, 6] == pytest.approx(24000.0)
     assert report.rates[0, 6] == pytest.approx(100.0 * 21.0 / (24000.0 - 21.0))
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_threshold_must_be_finite(threshold):
+    with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
+        effective_rates(make_result(np.ones((1, 6))), np.full((1, 6), 4000.0), threshold=threshold)
+
+
+def test_brazil_grand_total_is_one_double(brazil_accounts):
+    # the result, the final-incidence table and the Total-row rate read one sum
+    adjusted, _ = redistribute_margins(brazil_accounts)
+    result = propagate_closed_form(build_system(adjusted))
+    report = effective_rates(result, adjusted.finaldemand)
+    total = result.grand_total
+    assert incidence_cells(result.final_incidence, DEFAULT_REPORT_COMPONENTS)[-1, -1] == total
+    spent = with_totals(adjusted.finaldemand)[-1, -1]
+    assert report.total_rates[6] == 100.0 * total / (spent - total)
 
 
 def test_expenditure_shape_checked():
