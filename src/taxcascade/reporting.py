@@ -77,17 +77,12 @@ def rate_cells(rates: np.ndarray, components: tuple[DemandComponent, ...]) -> np
     return rates[:, _component_columns(components)[0] + [N_COMPONENTS]]
 
 
-def write_rows(path: Path, header: list[str], rows: list[list[str]], *, fmt: str) -> Path:
-    """A header and rows of strings as CSV, or as JSON records with ``fmt='json'``."""
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    elif fmt == "json":
-        write_json({"columns": header, "rows": [dict(zip(header, row)) for row in rows]}, path)
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+def write_rows(path: Path, header: list[str], rows: list[list[str]]) -> Path:
+    """A header and rows of strings as CSV."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
@@ -96,7 +91,6 @@ def write_first_stage_table(
     path: str | Path,
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
-    fmt: str = "csv",
 ) -> Path:
     """Statutory tax and its first-stage split: intermediate vs final demand."""
     idx, names = _component_columns(components)
@@ -104,7 +98,7 @@ def write_first_stage_table(
     table = first_stage_table(result.first_stage_intermediate, result.first_stage_final)
     cells = table[:, [STATUTORY, INTERMEDIATE] + idx]
     rows = _table_rows(result.activities, cells, MONEY_PRECISION)
-    return write_rows(Path(path), header, rows, fmt=fmt)
+    return write_rows(Path(path), header, rows)
 
 
 def write_final_incidence_table(
@@ -112,12 +106,11 @@ def write_final_incidence_table(
     path: str | Path,
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
-    fmt: str = "csv",
 ) -> Path:
     """Final incidence by component, with the cells of :func:`incidence_cells`."""
     cells = incidence_cells(result.final_incidence, components)
     rows = _table_rows(result.activities, cells, MONEY_PRECISION)
-    return write_rows(Path(path), _table_header(components), rows, fmt=fmt)
+    return write_rows(Path(path), _table_header(components), rows)
 
 
 def write_rates_table(
@@ -125,12 +118,11 @@ def write_rates_table(
     path: str | Path,
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
-    fmt: str = "csv",
 ) -> Path:
     """Effective rates, with the cells of :func:`rate_cells` (ND where masked)."""
     cells = rate_cells(np.vstack([report.rates, report.total_rates]), components)
     rows = _table_rows(report.activities, cells, RATE_PRECISION)
-    return write_rows(Path(path), _table_header(components), rows, fmt=fmt)
+    return write_rows(Path(path), _table_header(components), rows)
 
 
 def write_margin_audit(adjustment: MarginAdjustment, path: str | Path) -> Path:

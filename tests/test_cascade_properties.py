@@ -3,11 +3,13 @@ rates follow the activities when the manifest lists them in another order,
 doubling every tax doubles every incidence cell exactly on both methods,
 incidence is linear in the scenario scales, both methods conserve tax, the
 closed form, the truncated stage loop and the plain-Python stage oracle
-agree, and a run's recorded totals are the Total row of its table."""
+agree, the scaled input plus ``margin_adjustment.csv`` is the redistributed
+input, and a run's recorded totals are the Total row of its table."""
 
 import json
 import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -26,9 +28,10 @@ from taxcascade import (
     redistribute_margins,
     save_bundle,
 )
-from taxcascade.reporting import incidence_cells, result_record
+from taxcascade.reporting import incidence_cells, result_record, write_margin_audit
 
 from oracles import make_activities, stagewise_final_incidence
+from test_margins import assert_margin_audit_is_exact
 
 
 @st.composite
@@ -153,6 +156,16 @@ def test_incidence_is_linear_in_the_scale_vector(accounts, s1, s2):
         both, first, second = (propagate(system).final_incidence for system in systems)
         atol = 1e-9 * np.abs(both).max()
         np.testing.assert_allclose(first + second, both, rtol=0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(accounts=economies(), scale=scales)
+def test_margin_adjustment_is_exact_record(accounts, scale):
+    scaled = apply_scenario(accounts, np.array(scale[: accounts.n]))
+    _, adjustment = redistribute_margins(scaled)
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_margin_audit(adjustment, Path(directory) / "margin_adjustment.csv")
+        assert_margin_audit_is_exact(path, scaled)
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,6 +19,7 @@ from taxcascade import (
 from taxcascade.cli import main
 
 from test_accounts import NON_FINITE_CELLS, corrupt_demo_copy, write_minimal_bundle
+from test_margins import assert_margin_audit_is_exact
 
 
 def read_csv(path):
@@ -73,12 +74,33 @@ def test_validate_structural_error(tmp_path, capsys):
     rc = main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_invalid_manifest_json_writes_nothing(tmp_path, capsys):
+    manifest = tmp_path / "bad.json"
+    manifest.write_text("{not json", encoding="utf-8")
+    rc = main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_out_is_a_file(demo_manifest, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    rc = main(["validate", "--manifest", str(demo_manifest), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "taken" in err
+    assert "Traceback" not in err
 
 
 def test_validate_reports_invariant_failure(tmp_path, capsys):
     manifest = write_minimal_bundle(
         tmp_path, edits={"supply.csv": "code,supply\nup,999\ndown,50\n"}
     )
+    # a bundle that loads but fails its checks still gets its report
     rc = main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "row_balance: FAIL" in capsys.readouterr().out
@@ -90,23 +112,26 @@ def test_validate_reports_invariant_failure(tmp_path, capsys):
 # -- compute -----------------------------------------------------------------
 
 
+#: Every file a default ``compute`` run writes, as README lists them.
+COMPUTE_OUTPUTS = {
+    "margin_adjustment.csv",
+    "system_digest.json",
+    "first_stage.csv",
+    "final_incidence.csv",
+    "effective_rates.csv",
+    "result.json",
+    "audit.json",
+}
+
+
 def test_compute_demo_outputs(demo_manifest, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["compute", "--manifest", str(demo_manifest), "--out", str(out)])
     assert rc == 0
-    for name in (
-        "post_margin_bundle/manifest.json",
-        "margin_adjustment.csv",
-        "system_digest.json",
-        "first_stage.csv",
-        "final_incidence.csv",
-        "effective_rates.csv",
-        "result.json",
-        "audit.json",
-    ):
-        assert (out / name).is_file(), name
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*")} == COMPUTE_OUTPUTS
 
     audit = json.loads((out / "audit.json").read_text())
+    assert set(audit["outputs"]) == COMPUTE_OUTPUTS
     assert audit["converged"] is True
     assert audit["conservation"]["within_tolerance"] is True
     assert audit["totals"]["statutory"] == pytest.approx(43.0)
@@ -261,11 +286,22 @@ def test_compute_skip_margins(demo_manifest, tmp_path):
     audit = json.loads((out / "audit.json").read_text())
     assert audit["margins"] is None
     assert audit["skip_margins"] is True
-    # the pass-through bundle still carries the margin flag
-    bundle = json.loads((out / "post_margin_bundle" / "manifest.json").read_text())
-    assert bundle["activities"][2]["code"] == "trade"
-    rows = read_csv(out / "post_margin_bundle" / "marginshares.csv")
-    assert rows[3] == ["trade", "0.8"]
+
+
+@pytest.mark.parametrize("scenario", [None, "code,scale\nfarm,0\nmill,1.003\ntrade,2.5\n"])
+def test_margin_adjustment_is_exact_record(demo_manifest, tmp_path, scenario):
+    # the scaled input plus the cells of margin_adjustment.csv are the
+    # accounts the run propagated
+    out = tmp_path / "run"
+    args = ["compute", "--manifest", str(demo_manifest), "--out", str(out)]
+    accounts = load_bundle(demo_manifest)
+    if scenario is not None:
+        path = tmp_path / "scenario.csv"
+        path.write_text(scenario, encoding="utf-8")
+        args += ["--scenario", str(path)]
+        accounts = apply_scenario(accounts, [0.0, 1.003, 2.5])
+    assert main(args) == 0
+    assert_margin_audit_is_exact(out / "margin_adjustment.csv", accounts)
 
 
 def test_truncated_requires_tol_and_maxstages(demo_manifest, tmp_path):
@@ -392,15 +428,13 @@ def test_out_dir_env_default(demo_manifest, tmp_path, monkeypatch):
     assert (target / "result.json").is_file()
 
 
-def test_json_table_format(demo_manifest, tmp_path):
+def test_format_option_is_gone(demo_manifest, tmp_path):
+    # every number a JSON table held is in result.json at full precision
     out = tmp_path / "run"
-    rc = main([
-        "compute", "--manifest", str(demo_manifest), "--format", "json", "--out", str(out)
-    ])
-    assert rc == 0
-    payload = json.loads((out / "final_incidence.json").read_text())
-    assert payload["rows"][-1]["code"] == "Total"
-    assert not (out / "final_incidence.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--manifest", str(demo_manifest), "--format", "json", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 # -- diff --------------------------------------------------------------------
@@ -486,6 +520,18 @@ def test_diff_is_full_precision(demo_manifest, tmp_path):
     assert float(diff["trade"]["exports_delta"]) == pytest.approx(want, abs=1e-6)
 
 
+def test_diff_of_runs_without_result_writes_nothing(tmp_path, capsys):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    rc = main([
+        "diff", "--baseline", str(tmp_path / "a"), "--scenario", str(tmp_path / "b"),
+        "--out", str(tmp_path / "d"),
+    ])
+    assert rc == 1
+    assert "result.json" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_diff_missing_directory(tmp_path):
     rc = main([
         "diff", "--baseline", str(tmp_path / "a"), "--scenario", str(tmp_path / "b"),
@@ -506,6 +552,7 @@ def test_diff_row_mismatch(demo_manifest, tmp_path, capsys):
     ])
     assert rc == 1
     assert "row mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_diff_rejects_record_without_diff_keys(demo_manifest, tmp_path, capsys):
@@ -529,9 +576,9 @@ def test_diff_rejects_record_without_diff_keys(demo_manifest, tmp_path, capsys):
 
 def test_diff_reads_no_display_table(demo_manifest, tmp_path):
     for name in ("a", "b"):
-        compute_demo(demo_manifest, tmp_path / name, "--format", "json")
+        compute_demo(demo_manifest, tmp_path / name)
         for stem in ("first_stage", "final_incidence", "effective_rates"):
-            (tmp_path / name / f"{stem}.json").unlink()
+            (tmp_path / name / f"{stem}.csv").unlink()
     diff = diff_runs(tmp_path / "a", tmp_path / "b", tmp_path / "d")
     assert diff["final_incidence"]["Total"]["total_delta"] == "0.000000"
 

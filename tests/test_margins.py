@@ -1,13 +1,17 @@
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from taxcascade import (
+    COMPONENT_ORDER,
     MarginError,
     load_bundle,
     redistribute_margins,
     validate,
 )
+from taxcascade.reporting import write_margin_audit
 
 from oracles import random_accounts
 
@@ -128,6 +132,39 @@ def test_adjusted_rows_equal_original_plus_delta():
     after = np.hstack([adjusted.flows, adjusted.finaldemand])
     npt.assert_array_equal(after, before + adjustment.supply_delta)
     npt.assert_array_equal(adjusted.taxdest.dest, accounts.taxdest.dest + adjustment.tax_delta)
+
+
+def read_margin_audit(path, codes):
+    """The (n, n+6) supply and tax deltas whose nonzero cells ``margin_adjustment.csv``
+    at ``path`` lists, for activities ``codes``; every other cell is 0."""
+    rows = {code: i for i, code in enumerate(codes)}
+    columns = {label: j for j, label in enumerate((*codes, *(c.value for c in COMPONENT_ORDER)))}
+    deltas = np.zeros((2, len(codes), len(columns)))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["activity", "destination", "supply_delta", "tax_delta"]
+        for activity, destination, supply, tax in reader:
+            deltas[:, rows[activity], columns[destination]] = float(supply), float(tax)
+    return deltas
+
+
+def assert_margin_audit_is_exact(path, accounts):
+    """``accounts``' [flows | finaldemand] and destination rows plus the cells of the
+    ``margin_adjustment.csv`` at ``path`` are the redistributed rows, bit for bit."""
+    adjusted, _ = redistribute_margins(accounts)
+    supply_delta, tax_delta = read_margin_audit(path, accounts.codes)
+    for rows, delta, want in (
+        (np.hstack([accounts.flows, accounts.finaldemand]), supply_delta,
+         np.hstack([adjusted.flows, adjusted.finaldemand])),
+        (accounts.taxdest.dest, tax_delta, adjusted.taxdest.dest),
+    ):
+        npt.assert_array_equal((rows + delta).view(np.int64), want.view(np.int64))
+
+
+def test_brazil_margin_audit_is_exact(brazil_accounts, tmp_path):
+    _, adjustment = redistribute_margins(brazil_accounts)
+    path = write_margin_audit(adjustment, tmp_path / "margin_adjustment.csv")
+    assert_margin_audit_is_exact(path, brazil_accounts)
 
 
 def test_double_application_is_identity(demo_manifest):

@@ -1,5 +1,4 @@
 import csv
-import json
 
 import numpy as np
 import numpy.testing as npt
@@ -285,20 +284,6 @@ def test_first_stage_table_layout(tmp_path):
     assert rows[1][3] == "3.00"
     assert rows[3][0] == "Total"
     assert rows[3][2] == "12.00"
-
-
-def test_tables_support_json_format(tmp_path):
-    fi = np.zeros((1, 6))
-    fi[0, HH] = 5.0
-    path = write_final_incidence_table(
-        make_result(fi), tmp_path / "fi.json", fmt="json"
-    )
-    payload = json.loads(path.read_text())
-    assert payload["columns"][0] == "code"
-    assert payload["rows"][-1]["code"] == "Total"
-
-    with pytest.raises(ValueError, match="format"):
-        write_final_incidence_table(make_result(fi), tmp_path / "x.xml", fmt="xml")
 
 
 def test_tables_can_render_all_components(tmp_path):
