@@ -263,6 +263,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 "supply_moved": adjustment.total_supply_moved,
                 "tax_moved": adjustment.total_tax_moved,
             },
+            solve={"condition": result.condition, "residual": result.solve_residual},
             component_shares={
                 c.value: None if np.isnan(share) else share
                 for c, share in zip(COMPONENT_ORDER, report.component_shares.tolist())

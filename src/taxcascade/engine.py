@@ -26,7 +26,7 @@ import numpy as np
 
 from .accounts import N_COMPONENTS, Activity, IOAccounts, TaxDestinationTable
 
-#: Abort the closed form when the 1-norm condition estimate exceeds this.
+#: Abort the closed form when the 1-norm condition number exceeds this.
 CONDITION_LIMIT = 1e12
 #: Default stopping tolerance for the truncated stage loop (fraction of the
 #: first-stage intermediate mass still circulating).
@@ -148,6 +148,8 @@ class IncidenceResult:
     stages: int | None  # accumulated stages (truncated only)
     series_residual: float  # tax mass never delivered to final demand
     converged: bool
+    condition: float | None = None  # exact 1-norm condition number (closed form only)
+    solve_residual: float | None = None  # ||M v - t||_inf of the solve (closed form only)
 
     @property
     def final_incidence(self) -> np.ndarray:
@@ -194,6 +196,8 @@ def _result(
     stages: int | None,
     series_residual: float,
     converged: bool,
+    condition: float | None = None,
+    solve_residual: float | None = None,
 ) -> IncidenceResult:
     """Both methods end here: ``cumulative`` (n,) is the intermediate mass
     summed over every stage, and each activity's final-demand shares split it
@@ -207,41 +211,41 @@ def _result(
         stages=stages,
         series_residual=series_residual,
         converged=converged,
+        condition=condition,
+        solve_residual=solve_residual,
     )
 
 
 def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
     """Propagate the full stage series at once via a linear solve.
 
-    The cumulative intermediate mass v solves (I - shares)' v = intermediate
-    tax; the subsequent-stage incidence is v scaled by each activity's
-    final-demand shares.  The system is LU-factorized and its condition
-    estimated (LAPACK gecon); an estimate beyond ``CONDITION_LIMIT`` raises
+    The cumulative intermediate mass v solves M v = intermediate tax with
+    M = (I - shares)'; the subsequent-stage incidence is v scaled by each
+    activity's final-demand shares.  The shares are nonnegative, and where the
+    stage series converges (rows summing to at most one, as balanced accounts
+    without inventory drawdowns give) M is an M-matrix with M^-1 >= 0, so one
+    more solve gives its 1-norm condition number exactly:
+    ||M^-1||_1 = max |M^-T 1|.  Otherwise that figure is a lower bound, like
+    any LAPACK condition estimate.  A condition number beyond
+    ``CONDITION_LIMIT``, or an exactly singular M, raises
     :class:`SingularSystemError`, in which case :func:`propagate_truncated`
     can still show how mass circulates in such structures.
     """
-    from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-
-    n = system.n
-    lhs = (np.eye(n) - system.intermediate_shares).T
-    anorm = np.linalg.norm(lhs, 1)
-    with warnings.catch_warnings():
-        # lu_factor warns about exactly singular factors; the rcond gate
-        # below turns that case into a typed error instead.
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(lhs)
-    gecon = get_lapack_funcs("gecon", (lhs,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0:
-        raise SingularSystemError(f"condition estimation failed (info={info})")
-    if rcond == 0 or 1.0 / rcond > CONDITION_LIMIT:
-        estimate = "inf" if rcond == 0 else f"{1.0 / rcond:.3e}"
+    lhs = (np.eye(system.n) - system.intermediate_shares).T
+    try:
+        inverse_norm = np.abs(np.linalg.solve(lhs.T, np.ones(system.n))).max()
+        cumulative = np.linalg.solve(lhs, system.intermediate_tax)
+    except np.linalg.LinAlgError:
+        condition = math.inf
+    else:
+        condition = float(np.linalg.norm(lhs, 1) * inverse_norm)
+    if not condition <= CONDITION_LIMIT:
+        estimate = "inf" if condition == math.inf else f"{condition:.3e}"
         raise SingularSystemError(
             f"(I - intermediate_shares) is singular or near-singular "
             f"(condition estimate {estimate} exceeds {CONDITION_LIMIT:.1e}); "
             "the truncated method can propagate such systems stage by stage"
         )
-    cumulative = lu_solve((lu, piv), system.intermediate_tax)
     # The solve itself reports conservation honestly via the residual; zero
     # final-demand shares with trapped mass show up there, not as an error.
     return _result(
@@ -251,6 +255,8 @@ def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
         stages=None,
         series_residual=0.0,
         converged=True,
+        condition=condition,
+        solve_residual=float(np.abs(lhs @ cumulative - system.intermediate_tax).max()),
     )
 
 

@@ -23,6 +23,10 @@ from .engine import (
 #: Expenditure at or below this (currency millions) is too small for a
 #: meaningful rate and is masked as ND.
 DISPLAY_THRESHOLD = 1000.0
+#: Cells masked despite expenditure above the threshold each get a diagnostic
+#: up to this many; the rest are counted in one summary line, so the audit
+#: stays bounded at any size.
+MAX_CELL_DIAGNOSTICS = 10
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ def effective_rates(
     :data:`COMPONENT_ORDER`.  Every unmasked cell satisfies
     ``rate = 100 * incidence / (expenditure - incidence)``; cells where the
     net base is nonpositive despite expenditure above the threshold are
-    masked and reported in ``diagnostics`` rather than raising.
+    masked and reported in ``diagnostics`` rather than raising: the first
+    :data:`MAX_CELL_DIAGNOSTICS` cell by cell, the rest as one count.
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
@@ -86,12 +91,17 @@ def effective_rates(
 
     diagnostics = []
     labels = [c.value for c in COMPONENT_ORDER] + ["total"]
-    suspicious = masked[:-1] & (expenditure[:-1] > threshold)
-    for i, j in zip(*np.nonzero(suspicious)):
+    rows, cols = np.nonzero(masked[:-1] & (expenditure[:-1] > threshold))
+    for i, j in zip(rows[:MAX_CELL_DIAGNOSTICS], cols[:MAX_CELL_DIAGNOSTICS]):
         diagnostics.append(
             f"{result.activities[i].code} / {labels[j]}: expenditure "
             f"{expenditure[i, j]:.6g} does not exceed incidence "
             f"{result.incidence_table[i, j]:.6g}; rate masked as ND"
+        )
+    if rows.size > MAX_CELL_DIAGNOSTICS:
+        diagnostics.append(
+            f"... and {rows.size - MAX_CELL_DIAGNOSTICS} more cells masked as ND "
+            "despite expenditure above the threshold"
         )
 
     try:

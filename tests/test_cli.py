@@ -247,6 +247,19 @@ def test_audit_repeats_result_summary(demo_manifest, tmp_path):
         assert audit[key] == result[key], key
 
 
+def test_audit_records_the_solve(demo_manifest, tmp_path):
+    closed, truncated = tmp_path / "closed", tmp_path / "truncated"
+    assert main(["compute", "--manifest", str(demo_manifest), "--out", str(closed)]) == 0
+    assert main(["compute", "--manifest", str(demo_manifest), "--out", str(truncated),
+                 "--method", "truncated", "--tol", "1e-12", "--maxstages", "10000"]) == 0
+    solve = json.loads((closed / "audit.json").read_text())["solve"]
+    assert 1.0 <= solve["condition"] <= 1e12
+    assert 0.0 <= solve["residual"] <= 1e-12
+    assert "solve" not in json.loads((closed / "result.json").read_text())
+    audit = json.loads((truncated / "audit.json").read_text())
+    assert audit["solve"] == {"condition": None, "residual": None}
+
+
 def test_compute_methods_agree(demo_manifest, tmp_path):
     out_c = tmp_path / "closed"
     out_t = tmp_path / "trunc"
@@ -609,3 +622,26 @@ def test_importing_cli_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["closed-form", "truncated"])
+def test_compute_loads_scipy_only_for_the_truncated_loop(demo_manifest, tmp_path, truncated):
+    # the closed form solves on numpy.linalg; the stage loop needs scipy.sparse,
+    # and neither method pays for importing scipy.linalg
+    method = ["--method", "truncated", "--tol", "1e-12", "--maxstages", "10000"] if truncated else []
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from taxcascade.cli import main; rc = main(sys.argv[1:]); "
+         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); "
+         "sys.exit(rc)",
+         "compute", "--manifest", str(demo_manifest), "--out", str(tmp_path / "run"), *method],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    if truncated:
+        assert "scipy.sparse" in modules
+        assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
+    else:
+        assert modules == []

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxcascade import (
     CoefficientSystem,
@@ -161,8 +163,9 @@ def test_singular_cycle_raises_with_advice():
         intermediate_tax=np.array([1.0, 1.0]),
         final_tax=np.zeros((2, 6)),
     )
-    with pytest.raises(SingularSystemError, match="truncated"):
+    with pytest.raises(SingularSystemError, match="truncated") as raised:
         propagate_closed_form(system)
+    assert "condition estimate inf" in str(raised.value)
 
 
 def test_near_singular_gate_both_sides():
@@ -179,6 +182,48 @@ def test_near_singular_gate_both_sides():
         propagate_closed_form(cycle(1e-14))
     result = propagate_closed_form(cycle(1e-3))
     assert result.conserved
+
+
+@st.composite
+def nonnegative_systems(draw) -> CoefficientSystem:
+    """Sparse nonnegative supply shares with row sums in [0, 0.99]."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 1.0))
+    totals = raw.sum(axis=1, keepdims=True)
+    shares = np.divide(raw, totals, out=np.zeros_like(raw), where=totals > 0)
+    shares *= rng.uniform(0.0, 0.99, (n, 1))
+    final_shares = np.zeros((n, 6))
+    final_shares[:, 2] = 1.0 - shares.sum(axis=1)
+    return CoefficientSystem(
+        activities=make_activities(n),
+        intermediate_shares=shares,
+        final_shares=final_shares,
+        intermediate_tax=rng.uniform(0.0, 100.0, n),
+        final_tax=np.zeros((n, 6)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonnegative_systems())
+def test_closed_form_condition_is_exact(system):
+    result = propagate_closed_form(system)
+    lhs = (np.eye(system.n) - system.intermediate_shares).T
+    assert result.condition == pytest.approx(np.linalg.cond(lhs, 1), rel=1e-12)
+    assert 0.0 <= result.solve_residual <= 1e-12 * (1.0 + system.intermediate_tax.max())
+    truncated = propagate_truncated(system)
+    assert truncated.condition is None and truncated.solve_residual is None
+
+
+def test_closed_form_condition_matches_gecon_on_brazil(brazil_accounts):
+    from scipy.linalg import get_lapack_funcs, lu_factor
+
+    system = build_system(redistribute_margins(brazil_accounts)[0])
+    lhs = (np.eye(system.n) - system.intermediate_shares).T
+    gecon = get_lapack_funcs("gecon", (lhs,))
+    rcond, info = gecon(lu_factor(lhs)[0], np.linalg.norm(lhs, 1))
+    assert info == 0
+    assert propagate_closed_form(system).condition == pytest.approx(1.0 / rcond, rel=1e-12)
 
 
 def test_truncated_flags_non_convergence():

@@ -18,6 +18,7 @@ from taxcascade import (
 )
 from taxcascade.accounts import DEFAULT_REPORT_COMPONENTS
 from taxcascade.engine import with_totals
+from taxcascade.rates import MAX_CELL_DIAGNOSTICS
 from taxcascade.reporting import (
     ND,
     format_number,
@@ -113,6 +114,19 @@ def test_nonpositive_net_base_masked_with_diagnostic():
     report = effective_rates(make_result(fi), expenditure)
     assert report.masked[0, HH]
     assert any("s00" in d and "households" in d for d in report.diagnostics)
+
+
+def test_cell_diagnostics_are_bounded():
+    # 4 activities x (6 components + total): every cell's net base is negative
+    report = effective_rates(make_result(np.full((4, 6), 2500.0)), np.full((4, 6), 2000.0))
+    assert report.masked.all()
+    cells = [d for d in report.diagnostics if d.endswith("rate masked as ND")]
+    assert len(cells) == MAX_CELL_DIAGNOSTICS
+    assert cells[0].startswith("s00 / ")
+    assert report.diagnostics[MAX_CELL_DIAGNOSTICS:] == (
+        f"... and {28 - MAX_CELL_DIAGNOSTICS} more cells masked as ND "
+        "despite expenditure above the threshold",
+    )
 
 
 def test_zero_over_zero_is_masked_not_nan_noise():
