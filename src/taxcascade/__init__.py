@@ -30,6 +30,7 @@ from .engine import (
     IncidenceResult,
     SingularSystemError,
     TRUNCATION_TOL,
+    Truncation,
     apply_scenario,
     build_system,
     propagate_closed_form,
@@ -69,6 +70,7 @@ __all__ = [
     "SingularSystemError",
     "TRUNCATION_TOL",
     "TaxDestinationTable",
+    "Truncation",
     "ValidationReport",
     "apply_scenario",
     "build_system",

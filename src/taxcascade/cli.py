@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 "tax_moved": adjustment.total_tax_moved,
             },
             solve={"condition": result.condition, "residual": result.solve_residual},
+            truncation=None if result.truncation is None else asdict(result.truncation),
             component_shares={
                 c.value: None if np.isnan(share) else share
                 for c, share in zip(COMPONENT_ORDER, report.component_shares.tolist())

@@ -31,6 +31,22 @@ CONDITION_LIMIT = 1e12
 #: Default stopping tolerance for the truncated stage loop (fraction of the
 #: first-stage intermediate mass still circulating).
 TRUNCATION_TOL = 1e-12
+#: The truncated loop considers jumping ahead at these stage counts: the first
+#: checkpoint, then each doubling of it.
+BLOCK_CHECKPOINT = 64
+#: Largest block, in stages, that the truncated loop jumps at once.  An
+#: uncapped block outgrows the work left, and replaying the block the stopping
+#: test falls in then costs more than the jumps saved.
+MAX_BLOCK = 256
+#: Cost model of the truncated loop in ns, fitted to one BLAS thread of numpy's
+#: OpenBLAS on a 2-core x86-64 host: at n = 500 (13.7k shares) a sparse stage
+#: took 25 us, a dense matvec 62 us and a dense product 5.4 ms; at n = 2000
+#: (201k shares) 234 us, 1.5 ms and 280 ms.  Only the sizes enter it, never a
+#: clock, so the same input always takes the same schedule and gives the same
+#: bytes.
+STAGE_NS = 15e3  # Python and scipy overhead of one stage, plus 1 ns per stored share
+MATVEC_NS = 0.35  # times n^2: one dense matrix-vector product
+PRODUCT_NS = 0.04  # times n^3: one dense matrix product
 #: Relative tolerance for the conservation identity
 #: total final incidence == total statutory tax.
 CONSERVATION_RTOL = 1e-9
@@ -132,6 +148,15 @@ def build_system(
 
 
 @dataclass(frozen=True)
+class Truncation:
+    """How the truncated loop ran: in blocks of ``block`` stages from stage
+    ``from_stage`` on; ``block`` is 1 and ``from_stage`` 0 when it built none."""
+
+    block: int
+    from_stage: int
+
+
+@dataclass(frozen=True)
 class IncidenceResult:
     """Final incidence of the taxes in one coefficient system.
 
@@ -150,6 +175,7 @@ class IncidenceResult:
     converged: bool
     condition: float | None = None  # exact 1-norm condition number (closed form only)
     solve_residual: float | None = None  # ||M v - t||_inf of the solve (closed form only)
+    truncation: Truncation | None = None  # the stage loop's blocks (truncated only)
 
     @property
     def final_incidence(self) -> np.ndarray:
@@ -198,6 +224,7 @@ def _result(
     converged: bool,
     condition: float | None = None,
     solve_residual: float | None = None,
+    truncation: Truncation | None = None,
 ) -> IncidenceResult:
     """Both methods end here: ``cumulative`` (n,) is the intermediate mass
     summed over every stage, and each activity's final-demand shares split it
@@ -213,6 +240,7 @@ def _result(
         converged=converged,
         condition=condition,
         solve_residual=solve_residual,
+        truncation=truncation,
     )
 
 
@@ -260,6 +288,28 @@ def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
     )
 
 
+def _block_to_build(n: int, nnz: int, stages: int, built: int = 1) -> int:
+    """The block, a power of two from ``built`` to :data:`MAX_BLOCK`, that finishes
+    ``stages`` more stages at the least modelled cost; ``built`` if none pays back.
+
+    A sparse stage costs ``STAGE_NS + nnz``.  Each doubling of a block costs two
+    dense products (one from a single stage), each jump two dense matvecs, and the
+    block the stopping test falls in is replayed stage by stage."""
+    stage = STAGE_NS + nnz
+    product = PRODUCT_NS * n**3
+    jump = STAGE_NS + 2 * MATVEC_NS * n**2
+
+    def cost(block: int) -> float:
+        if block == 1:
+            return stages * stage
+        doublings = block.bit_length() - built.bit_length()
+        products = 2 * doublings - (built == 1)
+        return products * product + -(-stages // block) * jump + block * stage
+
+    blocks = [built << k for k in range((MAX_BLOCK // built).bit_length())]
+    return min(blocks, key=cost)
+
+
 def propagate_truncated(
     system: CoefficientSystem,
     tol: float = TRUNCATION_TOL,
@@ -275,9 +325,22 @@ def propagate_truncated(
     ``converged=False``.  Either way the undelivered mass is recorded as
     ``series_residual``, never silently dropped.
 
-    Each stage is one sparse matvec on the supply shares; the mass handed to
-    final demand is summed per activity and split by ``final_shares`` once,
-    after the loop.
+    A stage is one sparse (CSR) matvec on the transposed supply shares S; the
+    mass handed to final demand is summed per activity and split by
+    ``final_shares`` once, after the loop.  A deep series jumps ahead in blocks
+    of k stages: P = I + S + ... + S^(k-1) and Q = S^k, built by repeated
+    squaring, give the block's sum P m and its end Q m in two dense matvecs.
+    At stage :data:`BLOCK_CHECKPOINT` and each doubling of it, the loop builds
+    the block (a power of two up to :data:`MAX_BLOCK`) that the cost model
+    says pays back if the run lasts as many more stages as it has run; the
+    model depends on the sizes only, so the schedule is deterministic.  Blocks
+    run only where no row of the shares sums to more than 1 in absolute value,
+    so the circulating mass never rises: no stage inside a block can pass the
+    stopping test unless its end does.  When a block's end would pass, the
+    loop replays that block stage by stage, so ``stages`` is the first passing
+    stage, as in the single-stage loop, and no block runs past ``maxstages``.
+    Summing in blocks moves the cells in their last digits only.
+    ``truncation`` records the block and the stage it was built at.
     """
     from scipy.sparse import csr_matrix
 
@@ -285,19 +348,66 @@ def propagate_truncated(
         raise ValueError(f"maxstages must be at least 1, got {maxstages}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    n = system.n
     shares_t = csr_matrix(system.intermediate_shares.T)
-    scale = float(np.abs(system.intermediate_tax).sum())
+    threshold = tol * float(np.abs(system.intermediate_tax).sum())
     mass = system.intermediate_tax
-    cumulative = np.zeros(system.n)
+    cumulative = np.zeros(n)
     stages = 0
     converged = False
-    while stages < maxstages:
-        cumulative += mass
-        mass = shares_t @ mass
-        stages += 1
-        if float(np.abs(mass).sum()) <= tol * scale:
-            converged = True
-            break
+    block, from_stage, checkpoint = 1, 0, BLOCK_CHECKPOINT
+    contracting = None  # no row sum above 1; checked once a block first pays
+    total = work = ahead = None  # P, a product buffer, Q
+    while stages < maxstages and not converged:
+        if block == 1:
+            count = min(checkpoint, maxstages) - stages
+        elif stages + block > maxstages:
+            count = maxstages - stages
+        else:
+            jumped = ahead @ mass
+            if float(np.abs(jumped).sum()) > threshold:
+                cumulative += total @ mass
+                mass = jumped
+                stages += block
+                count = 0
+            else:
+                count = block
+        for _ in range(count):
+            cumulative += mass
+            mass = shares_t @ mass
+            stages += 1
+            if float(np.abs(mass).sum()) <= threshold:
+                converged = True
+                break
+        if converged or stages < checkpoint:
+            continue
+        while checkpoint <= stages:
+            checkpoint *= 2
+        target = _block_to_build(n, shares_t.nnz, min(stages, maxstages - stages), block)
+        if target == block:
+            continue
+        if contracting is None:
+            row_sums = np.bincount(
+                shares_t.indices, weights=np.abs(shares_t.data), minlength=n
+            )
+            contracting = bool(row_sums.max(initial=0.0) <= 1.0)
+        if not contracting:
+            continue
+        if block == 1:
+            shares = system.intermediate_shares.T
+            total = np.array(shares, order="C")
+            total.flat[:: n + 1] += 1.0
+            work, ahead = np.empty((n, n)), np.empty((n, n))
+            np.matmul(shares, shares, out=ahead)
+            block = 2
+        while block < target:
+            np.matmul(ahead, total, out=work)
+            total += work
+            np.matmul(ahead, ahead, out=work)
+            ahead, work = work, ahead
+            block *= 2
+        from_stage = stages
+    del total, work, ahead
     return _result(
         system,
         cumulative,
@@ -305,6 +415,7 @@ def propagate_truncated(
         stages=stages,
         series_residual=float(mass.sum()),
         converged=converged,
+        truncation=Truncation(block=block, from_stage=from_stage),
     )
 
 

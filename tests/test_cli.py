@@ -256,8 +256,11 @@ def test_audit_records_the_solve(demo_manifest, tmp_path):
     assert 1.0 <= solve["condition"] <= 1e12
     assert 0.0 <= solve["residual"] <= 1e-12
     assert "solve" not in json.loads((closed / "result.json").read_text())
+    assert json.loads((closed / "audit.json").read_text())["truncation"] is None
     audit = json.loads((truncated / "audit.json").read_text())
     assert audit["solve"] == {"condition": None, "residual": None}
+    # the demo converges long before the first block checkpoint
+    assert audit["truncation"] == {"block": 1, "from_stage": 0}
 
 
 def test_compute_methods_agree(demo_manifest, tmp_path):

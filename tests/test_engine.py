@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from taxcascade import (
     CoefficientSystem,
     SingularSystemError,
+    Truncation,
     apply_scenario,
     build_system,
     load_bundle,
@@ -14,6 +15,8 @@ from taxcascade import (
     propagate_truncated,
     redistribute_margins,
 )
+
+from taxcascade.engine import MAX_BLOCK, _block_to_build
 
 from oracles import make_activities, random_system, stagewise_final_incidence
 
@@ -234,13 +237,106 @@ def test_truncated_flags_non_convergence():
         intermediate_tax=np.array([2.0, 1.0]),
         final_tax=np.zeros((2, 6)),
     )
-    result = propagate_truncated(system, tol=1e-12, maxstages=50)
-    assert not result.converged
-    assert result.stages == 50
-    # all starting mass is still circulating, none was delivered
-    assert result.series_residual == pytest.approx(3.0)
-    assert result.grand_total == 0.0
-    assert not result.conserved
+    # row sums of exactly 1: past stage 64 the loop jumps in blocks
+    for maxstages in (50, 1000):
+        result = propagate_truncated(system, tol=1e-12, maxstages=maxstages)
+        assert not result.converged
+        assert result.stages == maxstages
+        assert (result.truncation.block > 1) == (maxstages > 64)
+        # all starting mass is still circulating, none was delivered
+        assert result.series_residual == 3.0
+        assert result.grand_total == 0.0
+        assert not result.conserved
+
+
+def single_stage_loop(system: CoefficientSystem, tol: float, maxstages: int):
+    """The truncated method without blocks: one CSR matvec per stage.  Returns the
+    subsequent-stage incidence, the circulating mass and the stages run."""
+    from scipy.sparse import csr_matrix
+
+    shares_t = csr_matrix(system.intermediate_shares.T)
+    threshold = tol * float(np.abs(system.intermediate_tax).sum())
+    mass, cumulative = system.intermediate_tax, np.zeros(system.n)
+    for stage in range(1, maxstages + 1):
+        cumulative += mass
+        mass = shares_t @ mass
+        if float(np.abs(mass).sum()) <= threshold:
+            break
+    return cumulative[:, None] * system.final_shares, mass, stage
+
+
+def near_closed_system(inside: float, n: int = 12, block: int = 4, seed: int = 11):
+    """Activities 0..block-1 sell ``inside`` of their output to each other and the
+    rest to exports; the others sell 20-90% of theirs to every activity."""
+    rng = np.random.default_rng(seed)
+    rowsum = np.where(np.arange(n) < block, inside, rng.uniform(0.2, 0.9, n))
+    raw = rng.random((n, n))
+    raw[:block, block:] = 0.0
+    shares = raw / raw.sum(axis=1, keepdims=True) * rowsum[:, None]
+    final_shares = np.zeros((n, 6))
+    final_shares[:, 4] = 1.0 - rowsum
+    return CoefficientSystem(
+        activities=make_activities(n),
+        intermediate_shares=shares,
+        final_shares=final_shares,
+        intermediate_tax=rng.uniform(0.0, 100.0, n),
+        final_tax=np.zeros((n, 6)),
+    )
+
+
+def test_truncated_blocks_keep_the_stage_count():
+    system = near_closed_system(0.999)
+    result = propagate_truncated(system, tol=1e-12, maxstages=100_000)
+    expected, mass, stages = single_stage_loop(system, tol=1e-12, maxstages=100_000)
+    assert result.truncation.block > 1 and 0 < result.truncation.from_stage < stages
+    assert result.converged and result.stages == stages > 1000
+    npt.assert_allclose(result.subsequent_stage, expected, rtol=1e-13, atol=0)
+    assert result.series_residual == pytest.approx(mass.sum(), rel=1e-11)
+
+    oracle, _ = stagewise_final_incidence(
+        system.intermediate_shares.tolist(),
+        system.final_shares.tolist(),
+        system.intermediate_tax.tolist(),
+        stages=stages,
+    )
+    npt.assert_allclose(result.final_incidence, np.array(oracle), rtol=0, atol=1e-9)
+
+    again = propagate_truncated(system, tol=1e-12, maxstages=100_000)
+    assert again.truncation == result.truncation and again.stages == result.stages
+    npt.assert_array_equal(again.subsequent_stage, result.subsequent_stage)
+    assert again.series_residual == result.series_residual
+
+
+def test_truncated_row_sum_above_one_takes_no_block():
+    system = near_closed_system(0.99)
+    shares = system.intermediate_shares.copy()
+    shares[-1] *= 1.3 / shares[-1].sum()
+    final_shares = system.final_shares.copy()
+    final_shares[-1, 4] = -0.3
+    system = CoefficientSystem(
+        activities=system.activities,
+        intermediate_shares=shares,
+        final_shares=final_shares,
+        intermediate_tax=system.intermediate_tax,
+        final_tax=system.final_tax,
+    )
+    result = propagate_truncated(system, tol=1e-12, maxstages=100_000)
+    expected, mass, stages = single_stage_loop(system, tol=1e-12, maxstages=100_000)
+    assert result.truncation == Truncation(block=1, from_stage=0)
+    assert result.converged and result.stages == stages > 1000
+    npt.assert_array_equal(result.subsequent_stage, expected)
+    assert result.series_residual == float(mass.sum())
+
+
+def test_block_cost_gate():
+    # the deep chain at n = 500 pays back from stage 2048 on
+    assert _block_to_build(500, 14_000, 1024) == 1
+    assert _block_to_build(500, 14_000, 2048) > 1
+    assert _block_to_build(500, 14_000, 1 << 20) == MAX_BLOCK
+    # a built block only grows
+    assert _block_to_build(500, 14_000, 64, built=32) == 32
+    # at n = 2000 a dense product costs more than thousands of sparse stages
+    assert _block_to_build(2000, 200_000, 16_384) == 1
 
 
 def test_truncated_single_stage_residual():
