@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -100,12 +101,22 @@ class BundleMetadata:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "BundleMetadata":
-        revenue = tuple(
-            (str(name), float(amount)) for name, amount in data.get("tax_revenue", [])
-        )
+        """Metadata from its JSON object; raise ValueError naming a malformed key."""
+        try:
+            revenue = tuple(
+                (str(name), float(amount)) for name, amount in data.get("tax_revenue", [])
+            )
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"tax_revenue must list [name, amount] pairs, got {data['tax_revenue']!r:.60}"
+            ) from None
         year = data.get("year")
+        try:
+            year = int(year) if year is not None else None
+        except (TypeError, ValueError):
+            raise ValueError(f"year must be an integer, got {year!r:.60}") from None
         return cls(
-            year=int(year) if year is not None else None,
+            year=year,
             currency=str(data.get("currency", "")),
             source=str(data.get("source", "")),
             tax_revenue=revenue,
@@ -381,93 +392,88 @@ def _layout(codes: tuple[str, ...]) -> tuple:
     )
 
 
+_OPEN_QUOTE = "a quoted cell runs past the end of the line"
+
+
+def _parse(lines: list[str], delimiter: str, **options) -> np.ndarray:
+    """numpy's C parse of table lines, one row per line unless a quoted cell spans lines."""
+    return np.loadtxt(
+        lines, delimiter=delimiter, quotechar='"', comments=None, ndmin=2, **options
+    )
+
+
+def _spans_lines(line: str, delimiter: str) -> bool:
+    """Whether a quoted cell is still open at the end of ``line``: two copies of
+    the line then parse as one row."""
+    return '"' in line and len(_parse([line, line], delimiter, dtype=object)) == 1
+
+
 def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
     """Read one table: its value-column names, its row codes in file order and
     the matrix of its values, one row per code.
 
-    numpy's C parser reads the numbers, with no Python object per cell.  A
-    table it cannot take whole (a short or long row, a cell that is not a
-    number, a duplicate code, or a number only ``float()`` reads, such as
-    ``1_000``) is read again by :func:`_read_rows`, which accepts the same
-    input cell by cell and names the line of the first defect.
+    numpy's C parser reads the numbers, with no Python object per cell.  Lines
+    that are blank, or hold delimiters and spaces only, are skipped.  Where
+    numpy rejects the table, or reads it to the wrong shape or with a repeated
+    code, each row is parsed again alone by the same parser, only to raise at
+    the first defect with its ``path:line``.
     """
     try:
         lines = path.read_text(encoding="utf-8-sig").splitlines()
     except FileNotFoundError:
         raise BundleError(f"table file not found: {path}") from None
-    return _parse_table(lines, delimiter) or _read_rows(path, lines, delimiter)
-
-
-def _parse_table(lines: list[str], delimiter: str) -> tuple | None:
-    """The table parsed by numpy, or None where :func:`_read_rows` must read it."""
-    kept = []
-    for line in lines:
-        if line.lstrip()[:1] not in ("", delimiter, '"'):
-            kept.append(line)  # its first character is part of a cell
-            continue
-        bare = line.replace(delimiter, "")
-        if not bare.strip():
-            continue  # a blank line, or delimiters and spaces only
-        if not bare.replace('"', "").strip():
-            return None  # quotes alone: blank or not as the csv module reads them
-        kept.append(line)
-    if len(kept) < 2:
-        return None
-    reader = csv.reader(kept, delimiter=delimiter)
-    header = [cell.strip() for cell in next(reader)]
-    if reader.line_num > 1 or len(header) < 2:
-        return None  # a quoted header cell spans lines, or there are no value columns
-    codes: list[str] = []
-    try:
-        values = np.loadtxt(
-            kept[1:],
-            delimiter=delimiter,
-            quotechar='"',
-            comments=None,
-            # the code column: keep each code, and give numpy a number for it
-            converters={0: lambda cell: codes.append(cell.strip()) or 0.0},
-            ndmin=2,
-        )
-    except ValueError:
-        return None
-    # fewer rows than lines: a quoted cell spans lines and merged them
-    if values.shape != (len(kept) - 1, len(header)) or len(set(codes)) != len(codes):
-        return None
-    return header[1:], codes, values[:, 1:]
-
-
-def _read_rows(path: Path, lines: list[str], delimiter: str) -> tuple:
-    """Read a table row by row with ``float()``; raise at its first defect."""
-    reader = csv.reader(lines, delimiter=delimiter)
-    header = None
-    codes: list[str] = []
-    rows: list[list[float]] = []
-    seen: set[str] = set()
-    for row in reader:
-        cells = [cell.strip() for cell in row]
-        if not any(cells):
-            continue
-        if header is None:
-            header = cells
-            continue
-        lineno = reader.line_num
-        if len(cells) != len(header):
-            raise BundleError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
-        code = cells[0]
-        if code in seen:
-            raise BundleError(f"{path}:{lineno}: duplicate activity code {code!r}")
-        seen.add(code)
-        try:
-            rows.append([float(cell) for cell in cells[1:]])
-        except ValueError as exc:
-            raise BundleError(f"{path}:{lineno}: {exc}") from None
-        codes.append(code)
-    if header is None:
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path}: not UTF-8 text ({exc})") from None
+    # 1-based numbers of the lines that hold a cell; the first character
+    # settles almost every line without copying it
+    numbers = [
+        k
+        for k, line in enumerate(lines, 1)
+        if line.lstrip()[:1] not in ("", delimiter) or line.replace(delimiter, "").strip()
+    ]
+    if not numbers:
         raise BundleError(f"{path}: empty table")
-    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
-    return header[1:], codes, values
+    kept = [lines[k - 1] for k in numbers]
+    if _spans_lines(kept[0], delimiter):
+        raise BundleError(f"{path}:{numbers[0]}: {_OPEN_QUOTE}")
+    header = [cell.strip() for cell in _parse(kept[:1], delimiter, dtype=object)[0]]
+    if len(kept) == 1:
+        return header[1:], [], np.empty((0, len(header) - 1))
+    codes: list[str] = []
+    # the code column: keep each code, and give numpy a number for it
+    keep_code = {0: lambda cell: codes.append(cell.strip()) or 0.0}
+    try:
+        values = _parse(kept[1:], delimiter, converters=keep_code)
+    except ValueError:
+        values = None
+    # fewer rows than lines: a quoted cell spans lines and merged them
+    if (
+        values is not None
+        and values.shape == (len(kept) - 1, len(header))
+        and len(set(codes)) == len(codes)
+        and not _spans_lines(kept[-1], delimiter)
+    ):
+        return header[1:], codes, values[:, 1:]
+    # the table is rejected: find its first defect, one line at a time
+    seen: set[str] = set()
+    for k, line in zip(numbers[1:], kept[1:]):
+        if _spans_lines(line, delimiter):
+            raise BundleError(f"{path}:{k}: {_OPEN_QUOTE}")
+        cells = [cell.strip() for cell in _parse([line], delimiter, dtype=object)[0]]
+        if len(cells) != len(header):
+            raise BundleError(f"{path}:{k}: expected {len(header)} columns, got {len(cells)}")
+        if cells[0] in seen:
+            raise BundleError(f"{path}:{k}: duplicate activity code {cells[0]!r}")
+        seen.add(cells[0])
+        try:
+            _parse([line], delimiter, converters=keep_code)
+        except ValueError as exc:
+            # numpy names the cell's 1-based column: "... at row 0, column 2."
+            j = int(re.search(r"column (\d+)", str(exc))[1]) - 1
+            raise BundleError(
+                f"{path}:{k}: could not convert {cells[j]!r} to a number in column {header[j]!r}"
+            ) from None
+    raise BundleError(f"{path}: numpy's parser rejects the table")
 
 
 def _row_order(path: Path, row_codes: list[str], codes: tuple[str, ...]) -> list[int]:
@@ -492,6 +498,26 @@ def _column_permutation(table: str, path: Path, header: list[str], wanted: list[
     return [position[name] for name in wanted]
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _expect(value, kind: type, where: str):
+    """``value``, which ``where`` must hold as a JSON ``kind``."""
+    if not isinstance(value, kind):
+        raise BundleError(f"{where} must be {_JSON_KINDS[kind]}, got {value!r:.60}")
+    return value
+
+
+def _read_json(path: Path, what: str):
+    """The JSON value in ``path``, the bundle's ``what``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise BundleError(f"{what} not found: {path}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise BundleError(f"{path}: invalid JSON ({exc})") from None
+
+
 def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     """Load and align a bundle; raise :class:`BundleError` on any defect.
 
@@ -507,23 +533,25 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     :func:`validate` instead.
     """
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise BundleError(f"manifest not found: {manifest_path}") from None
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"{manifest_path}: invalid JSON ({exc})") from None
+    manifest = _read_json(manifest_path, "manifest")
+    _expect(manifest, dict, f"{manifest_path}: the manifest")
 
     for key in ("activities", "components", "tables"):
         if key not in manifest:
             raise BundleError(f"{manifest_path}: manifest missing key {key!r}")
 
     activities = []
-    for i, entry in enumerate(manifest["activities"]):
+    entries = _expect(manifest["activities"], list, f"{manifest_path}: activities")
+    for i, entry in enumerate(entries):
         if isinstance(entry, str):
             activities.append(Activity(i, entry))
-        else:
+        elif isinstance(entry, dict) and "code" in entry:
             activities.append(Activity(i, str(entry["code"]), str(entry.get("label", ""))))
+        else:
+            raise BundleError(
+                f"{manifest_path}: activities[{i}] must be a code or an object with a 'code', "
+                f"got {entry!r:.60}"
+            )
     codes = tuple(a.code for a in activities)
     if len(set(codes)) != len(codes):
         dupes = sorted({c for c in codes if codes.count(c) > 1})
@@ -535,7 +563,9 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
             f"{', '.join(clashes)}"
         )
 
-    components = [str(c) for c in manifest["components"]]
+    components = [
+        str(c) for c in _expect(manifest["components"], list, f"{manifest_path}: components")
+    ]
     canonical = [c.value for c in COMPONENT_ORDER]
     if sorted(components) != sorted(canonical):
         raise BundleError(
@@ -546,7 +576,7 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     if delimiter not in (",", ";"):
         raise BundleError(f"{manifest_path}: delimiter must be ',' or ';', got {delimiter!r}")
 
-    tables = manifest["tables"]
+    tables = _expect(manifest["tables"], dict, f"{manifest_path}: tables")
     layout = _layout(codes)
     missing = [name for name, _, _ in layout if name not in tables]
     if missing:
@@ -554,7 +584,9 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
 
     aligned = {}
     for name, wanted, _ in layout:
-        path = manifest_path.parent / tables[name]
+        path = manifest_path.parent / _expect(
+            tables[name], str, f"{manifest_path}: tables[{name!r}]"
+        )
         header, row_codes, values = _read_delimited(path, delimiter)
         if name not in ("supply", "marginshares"):
             perm = _column_permutation(name, path, header, wanted)
@@ -567,14 +599,18 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
         # last digits.
         aligned[name] = values.T[np.ix_(perm, _row_order(path, row_codes, codes))].T
 
-    meta_source = manifest.get("metadata", {})
     if "metadata" in tables:
-        meta_path = manifest_path.parent / tables["metadata"]
-        try:
-            meta_source = json.loads(meta_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise BundleError(f"metadata file not found: {meta_path}") from None
-    metadata = BundleMetadata.from_mapping(meta_source)
+        meta_file = manifest_path.parent / _expect(
+            tables["metadata"], str, f"{manifest_path}: tables['metadata']"
+        )
+        meta_source = _read_json(meta_file, "metadata file")
+    else:
+        meta_file, meta_source = manifest_path, manifest.get("metadata", {})
+    meta_source = _expect(meta_source, dict, f"{meta_file}: metadata")
+    try:
+        metadata = BundleMetadata.from_mapping(meta_source)
+    except ValueError as exc:
+        raise BundleError(f"{meta_file}: metadata {exc}") from None
 
     try:
         accounts = IOAccounts(

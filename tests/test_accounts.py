@@ -44,6 +44,15 @@ def test_component_order_is_fixed():
     assert DemandComponent.HOUSEHOLDS.column == 2
 
 
+MINIMAL_TABLES = {
+    "flows": "flows.csv",
+    "finaldemand": "fd.csv",
+    "supply": "supply.csv",
+    "taxdest": "taxdest.csv",
+    "marginshares": "margins.csv",
+}
+
+
 def write_minimal_bundle(directory, *, delimiter=",", edits=None):
     """Two-activity bundle written by hand, with deliberately shuffled
     columns and row order to exercise header/code alignment."""
@@ -54,13 +63,7 @@ def write_minimal_bundle(directory, *, delimiter=",", edits=None):
                 "activities": ["up", "down"],
                 "components": [c.value for c in COMPONENT_ORDER],
                 "delimiter": delimiter,
-                "tables": {
-                    "flows": "flows.csv",
-                    "finaldemand": "fd.csv",
-                    "supply": "supply.csv",
-                    "taxdest": "taxdest.csv",
-                    "marginshares": "margins.csv",
-                },
+                "tables": MINIMAL_TABLES,
             }
         ),
         # columns swapped relative to manifest order, rows swapped too
@@ -241,22 +244,83 @@ def test_spaces_and_quotes_around_cells(tmp_path):
     npt.assert_array_equal(accounts.flows, [[20.0, 40.0], [5.0, 10.0]])
 
 
-@pytest.mark.parametrize("cell", ["1_00", "１００"], ids=["underscore", "fullwidth-digits"])
-def test_numbers_only_float_reads(tmp_path, cell):
-    # numpy's parser rejects these, so the table is read row by row instead,
-    # to the same arrays in the same memory layout
-    plain_dir = tmp_path / "plain"
-    plain_dir.mkdir()
-    plain = load_bundle(write_minimal_bundle(plain_dir))
-    odd_dir = tmp_path / "odd"
-    odd_dir.mkdir()
-    odd = load_bundle(
-        write_minimal_bundle(odd_dir, edits={"supply.csv": f"code,supply\nup,{cell}\ndown,50\n"})
+@pytest.mark.parametrize(
+    "cell, reason",
+    [
+        ("1_00", "could not convert '1_00' to a number in column 'supply'"),
+        ("１００", "could not convert '１００' to a number in column 'supply'"),
+        ('"100\n"', "a quoted cell runs past the end of the line"),
+    ],
+    ids=["underscore", "fullwidth-digits", "quoted-across-lines"],
+)
+def test_numbers_only_float_reads(tmp_path, cell, reason):
+    # float() reads each of these as 100, numpy's parser does not: the table is rejected
+    manifest = write_minimal_bundle(
+        tmp_path, edits={"supply.csv": f"code,supply\nup,{cell}\ndown,50\n"}
     )
-    assert odd.supply[0] == 100.0
-    for name in ("flows", "finaldemand", "supply", "marginshares"):
-        assert getattr(odd, name).strides == getattr(plain, name).strides
-        npt.assert_array_equal(getattr(odd, name), getattr(plain, name))
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    assert str(excinfo.value) == f"{tmp_path / 'supply.csv'}:2: {reason}"
+
+
+# Manifest fields replaced, and the message after "<manifest>: "
+MALFORMED_MANIFESTS = [
+    ({"activities": [0, 1, 2]}, "activities[0] must be a code or an object with a 'code', got 0"),
+    (
+        {"activities": ["up", {"label": "x"}]},
+        "activities[1] must be a code or an object with a 'code', got {'label': 'x'}",
+    ),
+    ({"activities": "up"}, "activities must be an array, got 'up'"),
+    ({"components": 6}, "components must be an array, got 6"),
+    ({"tables": ["flows.csv"]}, "tables must be an object, got ['flows.csv']"),
+    ({"tables": {**MINIMAL_TABLES, "flows": 5}}, "tables['flows'] must be a string, got 5"),
+    ({"metadata": [1]}, "metadata must be an object, got [1]"),
+    ({"metadata": {"year": "abc"}}, "metadata year must be an integer, got 'abc'"),
+    (
+        {"metadata": {"tax_revenue": [["ICMS"]]}},
+        "metadata tax_revenue must list [name, amount] pairs, got [['ICMS']]",
+    ),
+]
+
+
+def write_malformed_manifest(directory, fields):
+    manifest = write_minimal_bundle(directory)
+    data = json.loads(manifest.read_text())
+    data.update(fields)
+    manifest.write_text(json.dumps(data))
+    return manifest
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED_MANIFESTS)
+def test_malformed_manifest_names_the_field(tmp_path, fields, message):
+    manifest = write_malformed_manifest(tmp_path, fields)
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    assert str(excinfo.value) == f"{manifest}: {message}"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("manifest.json", b"5", "the manifest must be an object, got 5"),
+        ("manifest.json", b"\xff\xfe{}", "invalid JSON ("),
+        ("meta.json", b"{", "invalid JSON ("),
+        ("meta.json", b"\xff\xfe{}", "invalid JSON ("),
+        ("meta.json", b"[1]", "metadata must be an object, got [1]"),
+        ("meta.json", b'{"year": "abc"}', "metadata year must be an integer, got 'abc'"),
+        ("meta.json", b'{"tax_revenue": 5}', "metadata tax_revenue must list [name, amount] pairs"),
+        ("supply.csv", "code,supply\nup,100\n".encode("utf-16"), "not UTF-8 text ("),
+    ],
+)
+def test_malformed_file_is_named(tmp_path, name, text, message):
+    manifest = write_malformed_manifest(
+        tmp_path, {"tables": {**MINIMAL_TABLES, "metadata": "meta.json"}}
+    )
+    (tmp_path / "meta.json").write_text("{}", encoding="utf-8")
+    (tmp_path / name).write_bytes(text)
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    assert str(excinfo.value).startswith(f"{tmp_path / name}: {message}")
 
 
 def test_loaded_matrices_are_column_major(demo_manifest):

@@ -18,7 +18,13 @@ from taxcascade import (
 )
 from taxcascade.cli import main
 
-from test_accounts import NON_FINITE_CELLS, corrupt_demo_copy, write_minimal_bundle
+from test_accounts import (
+    MALFORMED_MANIFESTS,
+    NON_FINITE_CELLS,
+    corrupt_demo_copy,
+    write_malformed_manifest,
+    write_minimal_bundle,
+)
 from test_margins import assert_margin_audit_is_exact
 
 
@@ -93,6 +99,27 @@ def test_validate_out_is_a_file(demo_manifest, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "taken" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "compute"])
+@pytest.mark.parametrize("fields, message", MALFORMED_MANIFESTS)
+def test_malformed_manifest_exits_1_naming_it(tmp_path, capsys, command, fields, message):
+    manifest = write_malformed_manifest(tmp_path, fields)
+    assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{manifest}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "compute"])
+def test_table_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, command):
+    manifest = write_minimal_bundle(tmp_path)
+    (tmp_path / "flows.csv").write_bytes(b"\xff\xfe" + "code,up,down\n".encode("utf-16-le"))
+    assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'flows.csv'}: not UTF-8 text" in err
     assert "Traceback" not in err
 
 
