@@ -111,10 +111,8 @@ class BundleMetadata:
                 f"tax_revenue must list [name, amount] pairs, got {data['tax_revenue']!r:.60}"
             ) from None
         year = data.get("year")
-        try:
-            year = int(year) if year is not None else None
-        except (TypeError, ValueError):
-            raise ValueError(f"year must be an integer, got {year!r:.60}") from None
+        if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
+            raise ValueError(f"year must be an integer, got {year!r:.60}")
         return cls(
             year=year,
             currency=str(data.get("currency", "")),
@@ -408,6 +406,15 @@ def _spans_lines(line: str, delimiter: str) -> bool:
     return '"' in line and len(_parse([line, line], delimiter, dtype=object)) == 1
 
 
+def parse_number(cell: str) -> float:
+    """One cell read as a table's cells are; ValueError unless it holds one number."""
+    good = cell.strip() and not _spans_lines(cell, ",")
+    values = _parse([cell], ",") if good else None
+    if values is None or values.shape != (1, 1):
+        raise ValueError(f"could not convert {cell!r} to a number")
+    return float(values[0, 0])
+
+
 def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
     """Read one table: its value-column names, its row codes in file order and
     the matrix of its values, one row per code.
@@ -544,14 +551,20 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     entries = _expect(manifest["activities"], list, f"{manifest_path}: activities")
     for i, entry in enumerate(entries):
         if isinstance(entry, str):
-            activities.append(Activity(i, entry))
+            code, label = entry, ""
         elif isinstance(entry, dict) and "code" in entry:
-            activities.append(Activity(i, str(entry["code"]), str(entry.get("label", ""))))
+            code, label = entry["code"], str(entry.get("label", ""))
         else:
             raise BundleError(
                 f"{manifest_path}: activities[{i}] must be a code or an object with a 'code', "
                 f"got {entry!r:.60}"
             )
+        if not isinstance(code, str) or not code or code != code.strip():
+            raise BundleError(
+                f"{manifest_path}: activities[{i}] code must be a non-empty string without "
+                f"surrounding spaces, got {code!r:.60}"
+            )
+        activities.append(Activity(i, code, label))
     codes = tuple(a.code for a in activities)
     if len(set(codes)) != len(codes):
         dupes = sorted({c for c in codes if codes.count(c) > 1})

@@ -23,6 +23,7 @@ from .accounts import (
     DemandComponent,
     IOAccounts,
     load_bundle,
+    parse_number,
     save_bundle,  # not called here; bench/run.py --trace 1 wraps each name it lists on this module
     validate,
 )
@@ -192,7 +193,7 @@ def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: duplicate activity code {code!r}")
         seen.add(code)
         try:
-            scale[index[code]] = float(row[1])
+            scale[index[code]] = parse_number(row[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: scale {row[1]!r} is not a number") from None
     return scale

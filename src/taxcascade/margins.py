@@ -24,20 +24,22 @@ class MarginError(ValueError):
 
 @dataclass(frozen=True)
 class MarginAdjustment:
-    """Audit record of one redistribution, as additive deltas.
+    """Audit record of one redistribution, one entry per destination column.
 
-    ``supply_delta`` and ``tax_delta`` are (n, n+6): the n intermediate
-    destinations followed by the six final-demand components.  Adding them to
-    the input's [flows | finaldemand] and destination rows gives the adjusted
-    rows.  Margin activities' rows hold minus the margin fraction removed,
-    the other rows what was reallocated to them, and each column sums to zero
-    up to rounding.  The totals are sums of everything removed.
+    ``supply_pool``, ``tax_pool`` and ``weight_base`` are (n+6,): the n
+    intermediate destinations followed by the six final-demand components.
+    The pools are the supply and tax the margin activities gave up into each
+    column; the weight base is the non-margin activities' supply into it,
+    which the pools are shared out by.  With the input rows and the margin
+    shares they rebuild the adjusted rows bit for bit.  The totals are sums
+    of everything removed.
     """
 
     activity_codes: tuple[str, ...]
     destination_labels: tuple[str, ...]  # n activity codes + 6 component names
-    supply_delta: np.ndarray
-    tax_delta: np.ndarray
+    supply_pool: np.ndarray
+    tax_pool: np.ndarray
+    weight_base: np.ndarray
     total_supply_moved: float
     total_tax_moved: float
 
@@ -63,8 +65,8 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     destinations = codes + tuple(c.value for c in COMPONENT_ORDER)
 
     if not margin.any():
-        zeros = np.zeros((n, n + N_COMPONENTS))
-        return accounts, MarginAdjustment(codes, destinations, zeros, zeros, 0.0, 0.0)
+        zeros = np.zeros(n + N_COMPONENTS)
+        return accounts, MarginAdjustment(codes, destinations, zeros, zeros, zeros, 0.0, 0.0)
 
     dead = margin & (accounts.supply == 0)
     if dead.any():
@@ -96,18 +98,10 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     cols = np.flatnonzero(needs)
     weights[np.ix_(~margin, cols)] = goods_rows[:, cols] / weight_base[cols]
 
-    # Reallocated minus removed, so that rows + delta is bit for bit
-    # rows - removed + reallocated.
-    adjustment = MarginAdjustment(
-        activity_codes=codes,
-        destination_labels=destinations,
-        supply_delta=weights * supply_pool - removed_supply,
-        tax_delta=weights * tax_pool - removed_tax,
-        total_supply_moved=float(removed_supply.sum()),
-        total_tax_moved=float(removed_tax.sum()),
-    )
-    new_supply_rows = supply_rows + adjustment.supply_delta
-    new_tax_rows = tax_rows + adjustment.tax_delta
+    # Reallocated minus removed, in this order, so that the input and the
+    # record rebuild these rows bit for bit by the rule in the README.
+    new_supply_rows = supply_rows + (weights * supply_pool - removed_supply)
+    new_tax_rows = tax_rows + (weights * tax_pool - removed_tax)
     adjusted = IOAccounts(
         activities=accounts.activities,
         flows=new_supply_rows[:, :n],
@@ -119,4 +113,12 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
         marginshares=np.zeros(n),
         metadata=accounts.metadata,
     )
-    return adjusted, adjustment
+    return adjusted, MarginAdjustment(
+        activity_codes=codes,
+        destination_labels=destinations,
+        supply_pool=supply_pool,
+        tax_pool=tax_pool,
+        weight_base=weight_base,
+        total_supply_moved=float(removed_supply.sum()),
+        total_tax_moved=float(removed_tax.sum()),
+    )

@@ -126,26 +126,15 @@ def write_rates_table(
 
 
 def write_margin_audit(adjustment: MarginAdjustment, path: str | Path) -> Path:
-    """Net supply and tax deltas per (activity, destination), nonzero cells only."""
-    path = Path(path)
-    supply_delta = adjustment.supply_delta
-    tax_delta = adjustment.tax_delta
-    rows, cols = np.nonzero((supply_delta != 0) | (tax_delta != 0))
-    codes = adjustment.activity_codes
-    labels = adjustment.destination_labels
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["activity", "destination", "supply_delta", "tax_delta"])
-        writer.writerows(
-            [codes[i], labels[j], repr(s), repr(t)]
-            for i, j, s, t in zip(
-                rows.tolist(),
-                cols.tolist(),
-                supply_delta[rows, cols].tolist(),
-                tax_delta[rows, cols].tolist(),
-            )
-        )
-    return path
+    """Supply pool, tax pool and weight base of each destination column a margin
+    activity gave up supply or tax into, at full precision."""
+    columns = (adjustment.supply_pool, adjustment.tax_pool, adjustment.weight_base)
+    listed = np.flatnonzero((columns[0] != 0) | (columns[1] != 0)).tolist()
+    rows = [
+        [adjustment.destination_labels[d], *(repr(float(c[d])) for c in columns)]
+        for d in listed
+    ]
+    return write_rows(Path(path), ["destination", "supply_pool", "tax_pool", "weight_base"], rows)
 
 
 def _array_digest(arr: np.ndarray) -> str:

@@ -165,18 +165,29 @@ def test_6_method_equivalence_random_systems():
         propagate_truncated(warmup, tol=1e-12, maxstages=10000)
         for trial in range(100):
             system = random_system(rng, n=10)
-            t0 = time.perf_counter()
-            closed = propagate_closed_form(system)
-            t1 = time.perf_counter()
-            truncated = propagate_truncated(system, tol=1e-12, maxstages=10000)
-            t2 = time.perf_counter()
+            closed, closed_s = best_of_three(propagate_closed_form, system)
+            truncated, truncated_s = best_of_three(
+                propagate_truncated, system, tol=1e-12, maxstages=10000
+            )
             bound = 1e-9 * (1.0 + np.abs(closed.final_incidence))
             assert np.all(
                 np.abs(closed.final_incidence - truncated.final_incidence) <= bound
             ), trial
             assert truncated.converged
-            assert t1 - t0 < 0.010, f"closed form took {t1 - t0:.4f}s"
-            assert t2 - t1 < 0.010, f"truncated took {t2 - t1:.4f}s"
+            assert closed_s < 0.010, f"closed form took {closed_s:.4f}s"
+            assert truncated_s < 0.010, f"truncated took {truncated_s:.4f}s"
+
+
+def best_of_three(solve, *args, **kwargs):
+    """The result of ``solve(*args, **kwargs)`` and its fastest wall time over three
+    calls: one slow sample from a busy machine does not fail the bound, a solve
+    that is slow on every call does."""
+    seconds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = solve(*args, **kwargs)
+        seconds.append(time.perf_counter() - t0)
+    return result, min(seconds)
 
 
 def test_7_brute_force_oracle_enumeration():

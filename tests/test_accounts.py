@@ -270,12 +270,29 @@ MALFORMED_MANIFESTS = [
         {"activities": ["up", {"label": "x"}]},
         "activities[1] must be a code or an object with a 'code', got {'label': 'x'}",
     ),
+    (
+        {"activities": ["up", {"code": None}]},
+        "activities[1] code must be a non-empty string without surrounding spaces, got None",
+    ),
+    # the tables' codes are stripped, so this one could never match a row
+    (
+        {"activities": [" up", "down"]},
+        "activities[0] code must be a non-empty string without surrounding spaces, got ' up'",
+    ),
+    (
+        {"activities": ["up", {"code": ""}]},
+        "activities[1] code must be a non-empty string without surrounding spaces, got ''",
+    ),
     ({"activities": "up"}, "activities must be an array, got 'up'"),
     ({"components": 6}, "components must be an array, got 6"),
     ({"tables": ["flows.csv"]}, "tables must be an object, got ['flows.csv']"),
     ({"tables": {**MINIMAL_TABLES, "flows": 5}}, "tables['flows'] must be a string, got 5"),
     ({"metadata": [1]}, "metadata must be an object, got [1]"),
     ({"metadata": {"year": "abc"}}, "metadata year must be an integer, got 'abc'"),
+    # int() would read these as 2015, 1 and 2015
+    ({"metadata": {"year": 2015.9}}, "metadata year must be an integer, got 2015.9"),
+    ({"metadata": {"year": True}}, "metadata year must be an integer, got True"),
+    ({"metadata": {"year": "2015"}}, "metadata year must be an integer, got '2015'"),
     (
         {"metadata": {"tax_revenue": [["ICMS"]]}},
         "metadata tax_revenue must list [name, amount] pairs, got [['ICMS']]",

@@ -219,13 +219,19 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
         # a decimal comma must not run as scale 0
         ("code,scale\nmill,0,5\n", "scenario.csv:2: expected code,scale, got ['mill', '0', '5']"),
         ("code,scale\nfarm,2\n\nmill,lots\n", "scenario.csv:4: scale 'lots' is not a number"),
+        # float() reads both as numbers, numpy's parser (as for bundle cells) does not
+        ("code,scale\nmill,1_000\n", "scenario.csv:2: scale '1_000' is not a number"),
+        ("code,scale\nmill,\u0661\n", "scenario.csv:2: scale '\u0661' is not a number"),
         ("code,scale\nfarm,nan\n", "non-finite scenario scale for: farm"),
         ("code,scale\nmill,inf\n", "non-finite scenario scale for: mill"),
         ("code,scale\nfarm,2\nfarm,0\n", "scenario.csv:3: duplicate activity code 'farm'"),
         # without a header the first row would be dropped and farm keep its tax
         ("\nfarm,0\nmill,0\n", "scenario.csv:2: expected header code,scale"),
     ],
-    ids=["short-row", "long-row", "not-a-number", "nan", "inf", "duplicate", "no-header"],
+    ids=[
+        "short-row", "long-row", "not-a-number", "underscore", "arabic-indic-digit", "nan",
+        "inf", "duplicate", "no-header",
+    ],
 )
 def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text, message):
     scenario = tmp_path / "scenario.csv"

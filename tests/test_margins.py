@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,63 @@ from taxcascade.reporting import write_margin_audit
 from oracles import random_accounts
 
 
-def test_no_margins_is_identity(accounts_factory):
+def rebuilt_deltas(accounts, record):
+    """The (n, n+6) supply and tax deltas that the README's rule rebuilds from the
+    input ``accounts`` and a margin ``record``: {destination column: (supply pool,
+    tax pool, weight base)}, whose unlisted columns have zero pools.  Weights
+    come from the supply rows; margin rows lose their margin share of each cell."""
+    mu = accounts.marginshares
+    margin = mu > 0
+    supply_rows = np.hstack([accounts.flows, accounts.finaldemand])
+    pools = np.zeros((2, supply_rows.shape[1]))
+    weights = np.zeros_like(supply_rows)
+    for d, (supply, tax, base) in record.items():
+        pools[:, d] = supply, tax
+        weights[~margin, d] = supply_rows[~margin, d] / base
+    deltas = []
+    for rows, pool in ((supply_rows, pools[0]), (accounts.taxdest.dest, pools[1])):
+        removed = np.zeros_like(rows)
+        removed[margin] = mu[margin, None] * rows[margin]
+        deltas.append(weights * pool - removed)
+    return deltas
+
+
+def adjustment_record(adjustment):
+    """The record of a :class:`MarginAdjustment`: its columns with a nonzero pool."""
+    return {
+        d: (adjustment.supply_pool[d], adjustment.tax_pool[d], adjustment.weight_base[d])
+        for d in np.flatnonzero((adjustment.supply_pool != 0) | (adjustment.tax_pool != 0))
+    }
+
+
+def read_margin_audit(path, codes):
+    """The record that ``margin_adjustment.csv`` at ``path`` holds, for activities ``codes``."""
+    columns = {label: j for j, label in enumerate((*codes, *(c.value for c in COMPONENT_ORDER)))}
+    record = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["destination", "supply_pool", "tax_pool", "weight_base"]
+        for destination, supply, tax, base in reader:
+            assert columns[destination] not in record, destination
+            record[columns[destination]] = float(supply), float(tax), float(base)
+    return record
+
+
+def assert_margin_audit_is_exact(path, accounts):
+    """``accounts``' [flows | finaldemand] and destination rows, rebuilt with the
+    record in the ``margin_adjustment.csv`` at ``path``, are the redistributed
+    rows, bit for bit."""
+    adjusted, _ = redistribute_margins(accounts)
+    supply_delta, tax_delta = rebuilt_deltas(accounts, read_margin_audit(path, accounts.codes))
+    for rows, delta, want in (
+        (np.hstack([accounts.flows, accounts.finaldemand]), supply_delta,
+         np.hstack([adjusted.flows, adjusted.finaldemand])),
+        (accounts.taxdest.dest, tax_delta, adjusted.taxdest.dest),
+    ):
+        npt.assert_array_equal((rows + delta).view(np.int64), want.view(np.int64))
+
+
+def test_no_margins_is_identity(accounts_factory, tmp_path):
     accounts = accounts_factory(
         flows=[[1.0, 2.0], [0.5, 0.0]], finaldemand=np.ones((2, 6))
     )
@@ -24,7 +81,11 @@ def test_no_margins_is_identity(accounts_factory):
     assert adjusted is accounts
     assert adjustment.total_supply_moved == 0.0
     assert adjustment.total_tax_moved == 0.0
-    npt.assert_array_equal(adjustment.supply_delta, np.zeros((2, 8)))
+    for pool in (adjustment.supply_pool, adjustment.tax_pool, adjustment.weight_base):
+        npt.assert_array_equal(pool, np.zeros(8))
+    # no column is listed: the file is its header alone
+    path = write_margin_audit(adjustment, tmp_path / "margin_adjustment.csv")
+    assert path.read_text(encoding="utf-8") == "destination,supply_pool,tax_pool,weight_base\n"
 
 
 def test_full_margin_hand_example(accounts_factory):
@@ -50,6 +111,11 @@ def test_full_margin_hand_example(accounts_factory):
     npt.assert_allclose(adjusted.taxdest.statutory, [3.0, 1.0, 0.0])
     assert adjustment.total_supply_moved == pytest.approx(10.0)
     assert adjustment.total_tax_moved == pytest.approx(4.0)
+    # one column is listed: households, with the goods' 40 of supply as weight base
+    assert adjustment_record(adjustment) == {3 + 2: (10.0, 4.0, 40.0)}
+    supply_delta, tax_delta = rebuilt_deltas(accounts, adjustment_record(adjustment))
+    npt.assert_array_equal(supply_delta[:, 3 + 2], [7.5, 2.5, -10.0])
+    npt.assert_array_equal(tax_delta[:, 3 + 2], [3.0, 1.0, -4.0])
 
 
 def test_partial_margin_share(demo_manifest):
@@ -58,7 +124,7 @@ def test_partial_margin_share(demo_manifest):
     # trade keeps a fifth of its output
     assert adjusted.supply[2] == pytest.approx(0.2 * 50.0, rel=1e-12)
     # households pool is 0.8 * 38; farm and mill split it 20:120
-    delta = adjustment.supply_delta
+    delta, _ = rebuilt_deltas(accounts, adjustment_record(adjustment))
     assert delta[0, 3 + 2] == pytest.approx(30.4 * 20.0 / 140.0, rel=1e-12)
     assert delta[1, 3 + 2] == pytest.approx(30.4 * 120.0 / 140.0, rel=1e-12)
     assert delta[2, 3 + 2] == pytest.approx(-30.4, rel=1e-12)
@@ -76,21 +142,20 @@ def test_partial_margin_share(demo_manifest):
 def test_margin_rows_only_lose_goods_rows_only_gain(demo_manifest):
     accounts = load_bundle(demo_manifest)
     _, adjustment = redistribute_margins(accounts)
+    supply_delta, tax_delta = rebuilt_deltas(accounts, adjustment_record(adjustment))
     mu = accounts.marginshares
     margin = mu > 0
     # margin rows lose exactly their margin fraction and receive nothing
     supply_rows = np.hstack([accounts.flows, accounts.finaldemand])
+    npt.assert_array_equal(supply_delta[margin], -(mu[margin, None] * supply_rows[margin]))
     npt.assert_array_equal(
-        adjustment.supply_delta[margin], -(mu[margin, None] * supply_rows[margin])
-    )
-    npt.assert_array_equal(
-        adjustment.tax_delta[margin], -(mu[margin, None] * accounts.taxdest.dest[margin])
+        tax_delta[margin], -(mu[margin, None] * accounts.taxdest.dest[margin])
     )
     # goods rows only receive (the demo's supply and taxes are nonnegative)
-    assert np.all(adjustment.supply_delta[~margin] >= 0)
-    assert np.all(adjustment.tax_delta[~margin] >= 0)
-    assert adjustment.supply_delta[~margin].any()
-    assert adjustment.tax_delta[~margin].any()
+    assert np.all(supply_delta[~margin] >= 0)
+    assert np.all(tax_delta[~margin] >= 0)
+    assert supply_delta[~margin].any()
+    assert tax_delta[~margin].any()
 
 
 def test_column_totals_conserved_randomly():
@@ -117,7 +182,7 @@ def test_column_totals_conserved_randomly():
         )
         # each column's gain on goods rows matches its loss on margin rows
         margin = accounts.marginshares > 0
-        for delta in (adjustment.supply_delta, adjustment.tax_delta):
+        for delta in rebuilt_deltas(accounts, adjustment_record(adjustment)):
             npt.assert_allclose(
                 delta[~margin].sum(axis=0), -delta[margin].sum(axis=0), rtol=1e-12
             )
@@ -128,43 +193,52 @@ def test_adjusted_rows_equal_original_plus_delta():
     rng = np.random.default_rng(7)
     accounts = random_accounts(rng, n=5, margins=2)
     adjusted, adjustment = redistribute_margins(accounts)
+    supply_delta, tax_delta = rebuilt_deltas(accounts, adjustment_record(adjustment))
     before = np.hstack([accounts.flows, accounts.finaldemand])
     after = np.hstack([adjusted.flows, adjusted.finaldemand])
-    npt.assert_array_equal(after, before + adjustment.supply_delta)
-    npt.assert_array_equal(adjusted.taxdest.dest, accounts.taxdest.dest + adjustment.tax_delta)
-
-
-def read_margin_audit(path, codes):
-    """The (n, n+6) supply and tax deltas whose nonzero cells ``margin_adjustment.csv``
-    at ``path`` lists, for activities ``codes``; every other cell is 0."""
-    rows = {code: i for i, code in enumerate(codes)}
-    columns = {label: j for j, label in enumerate((*codes, *(c.value for c in COMPONENT_ORDER)))}
-    deltas = np.zeros((2, len(codes), len(columns)))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        assert next(reader) == ["activity", "destination", "supply_delta", "tax_delta"]
-        for activity, destination, supply, tax in reader:
-            deltas[:, rows[activity], columns[destination]] = float(supply), float(tax)
-    return deltas
-
-
-def assert_margin_audit_is_exact(path, accounts):
-    """``accounts``' [flows | finaldemand] and destination rows plus the cells of the
-    ``margin_adjustment.csv`` at ``path`` are the redistributed rows, bit for bit."""
-    adjusted, _ = redistribute_margins(accounts)
-    supply_delta, tax_delta = read_margin_audit(path, accounts.codes)
-    for rows, delta, want in (
-        (np.hstack([accounts.flows, accounts.finaldemand]), supply_delta,
-         np.hstack([adjusted.flows, adjusted.finaldemand])),
-        (accounts.taxdest.dest, tax_delta, adjusted.taxdest.dest),
-    ):
-        npt.assert_array_equal((rows + delta).view(np.int64), want.view(np.int64))
+    npt.assert_array_equal(after.view(np.int64), (before + supply_delta).view(np.int64))
+    npt.assert_array_equal(
+        adjusted.taxdest.dest.view(np.int64), (accounts.taxdest.dest + tax_delta).view(np.int64)
+    )
 
 
 def test_brazil_margin_audit_is_exact(brazil_accounts, tmp_path):
     _, adjustment = redistribute_margins(brazil_accounts)
     path = write_margin_audit(adjustment, tmp_path / "margin_adjustment.csv")
     assert_margin_audit_is_exact(path, brazil_accounts)
+
+
+def test_tax_only_destination_is_listed_and_exact(accounts_factory, tmp_path):
+    # the margin activity sells nothing to government but its tax lands there,
+    # so the government column is listed with a zero supply pool
+    fd = np.zeros((3, 6))
+    fd[:, 2] = [30.0, 10.0, 10.0]
+    fd[:2, 1] = [6.0, 2.0]
+    dest = np.zeros((3, 9))
+    dest[2, 3 + 1] = 4.0  # margin tax destined to government
+    accounts = accounts_factory(
+        flows=np.zeros((3, 3)), finaldemand=fd, dest=dest, marginshares=[0.0, 0.0, 0.5]
+    )
+    _, adjustment = redistribute_margins(accounts)
+    path = write_margin_audit(adjustment, tmp_path / "margin_adjustment.csv")
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "destination,supply_pool,tax_pool,weight_base",
+        "government,0.0,2.0,8.0",
+        "households,5.0,0.0,40.0",
+    ]
+    assert_margin_audit_is_exact(path, accounts)
+
+
+def test_margin_record_holds_one_entry_per_destination(brazil_accounts):
+    _, adjustment = redistribute_margins(brazil_accounts)
+    n = brazil_accounts.n
+    arrays = [
+        getattr(adjustment, f.name)
+        for f in fields(adjustment)
+        if isinstance(getattr(adjustment, f.name), np.ndarray)
+    ]
+    assert len(arrays) == 3
+    assert all(a.size <= n + 6 for a in arrays)
 
 
 def test_double_application_is_identity(demo_manifest):
