@@ -6,7 +6,7 @@ accounting identities, and returns an immutable :class:`IOAccounts`.
 
 Provides:
     - DemandComponent: the six final-demand components, in canonical column
-      order used by every matrix in the package.
+      order used by every matrix in the package (defined in ``tables``).
     - Activity, BundleMetadata, TaxDestinationTable, IOAccounts: value types.
     - load_bundle / save_bundle: manifest-driven ingestion and serialization.
     - validate: diagnostic checks that never raise, as a ValidationReport.
@@ -15,13 +15,17 @@ Provides:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .tables import (  # noqa: F401  (DEFAULT_REPORT_COMPONENTS is re-exported)
+    COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, N_COMPONENTS, DemandComponent
+)
 
 # Relative tolerance for the row balance supply = flows + final demand and for
 # statutory-vs-destination consistency.  Published tables are rounded to
@@ -33,34 +37,6 @@ BALANCE_RTOL = 1e-6
 class BundleError(ValueError):
     """Raised when a bundle cannot be loaded or fails its invariants."""
 
-
-class DemandComponent(Enum):
-    """Final-demand components, in canonical column order."""
-
-    EXPORTS = "exports"
-    GOVERNMENT = "government"
-    HOUSEHOLDS = "households"
-    ISFLSF = "isflsf"
-    GFCF = "gfcf"
-    INVENTORY = "inventory"
-
-    @property
-    def column(self) -> int:
-        return _COMPONENT_INDEX[self]
-
-
-COMPONENT_ORDER: tuple[DemandComponent, ...] = tuple(DemandComponent)
-_COMPONENT_INDEX = {c: i for i, c in enumerate(COMPONENT_ORDER)}
-N_COMPONENTS = len(COMPONENT_ORDER)
-
-# Default component subset for reports: nonprofit consumption and inventory
-# change are folded into totals but not shown as columns.
-DEFAULT_REPORT_COMPONENTS: tuple[DemandComponent, ...] = (
-    DemandComponent.EXPORTS,
-    DemandComponent.GOVERNMENT,
-    DemandComponent.HOUSEHOLDS,
-    DemandComponent.GFCF,
-)
 
 # Header names with a fixed meaning in bundle tables; activity codes must not
 # collide with them (or with component names).
@@ -655,6 +631,30 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     return accounts
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as :mod:`csv` writes it as one cell of a longer row, quoted where needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _table_lines(codes: tuple[str, ...], values: np.ndarray):
+    """One CSV line per row of ``values``: its code, then ``repr`` of each cell.
+
+    A zero cell is written as ``"0.0"`` (its ``repr``) without calling ``repr``:
+    zeros fill most of a sparse table.  ``-0.0`` still goes through ``repr``."""
+    spelled = (values != 0) | np.signbit(values)
+    columns = np.nonzero(spelled)[1].tolist()
+    cells = values[spelled].tolist()
+    end = 0
+    for code, count in zip(codes, np.count_nonzero(spelled, axis=1).tolist()):
+        line = ["0.0"] * values.shape[1]
+        for k in range(end, end + count):
+            line[columns[k]] = repr(cells[k])
+        end += count
+        yield f"{_csv_cell(code)},{','.join(line)}\n"
+
+
 def save_bundle(accounts: IOAccounts, directory: str | Path) -> Path:
     """Serialize accounts as a manifest plus comma-delimited tables; returns the manifest path.
 
@@ -668,11 +668,8 @@ def save_bundle(accounts: IOAccounts, directory: str | Path) -> Path:
     for name, columns, values in _layout(codes):
         tables[name] = f"{name}.csv"
         with open(directory / tables[name], "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["code", *columns])
-            writer.writerows(
-                [code, *map(repr, row.tolist())] for code, row in zip(codes, values(accounts))
-            )
+            csv.writer(fh, lineterminator="\n").writerow(["code", *columns])
+            fh.writelines(_table_lines(codes, values(accounts)))
     manifest = {
         "activities": [{"code": a.code, "label": a.label} for a in accounts.activities],
         "components": [c.value for c in COMPONENT_ORDER],

@@ -9,50 +9,64 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .accounts import (
-    BundleError,
+from .tables import (
     COMPONENT_ORDER,
     DEFAULT_REPORT_COMPONENTS,
+    DISPLAY_THRESHOLD,
     DemandComponent,
-    IOAccounts,
-    load_bundle,
-    parse_number,
-    save_bundle,  # not called here; bench/run.py --trace 1 wraps each name it lists on this module
-    validate,
-)
-from .engine import (
-    SingularSystemError,
-    apply_scenario,
-    build_system,
-    propagate_closed_form,
-    propagate_truncated,
-    CONSERVATION_RTOL,
-    CONDITION_LIMIT,
-)
-from .margins import MarginError, redistribute_margins
-from .rates import DISPLAY_THRESHOLD, effective_rates
-from .reporting import (
-    SUMMARY_KEYS,
-    bundle_digests,
     diff_tables,
     read_result_json,
-    result_record,
-    write_final_incidence_table,
-    write_first_stage_table,
-    write_json,
-    write_margin_audit,
-    write_rates_table,
-    write_result_json,
     write_rows,
-    write_system_digest,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .accounts import IOAccounts
+
+#: What validate and compute call, by the module that defines it.  These modules
+#: load numpy, so :func:`_load_pipeline` binds the names as globals of this module
+#: on first use and ``diff`` runs without them.  The commands call each name
+#: through these globals: ``bench/run.py --trace 1`` wraps every name it lists
+#: (``save_bundle`` too, which nothing here calls) by setting it on this module.
+_PIPELINE = {
+    "accounts": ("BundleError", "load_bundle", "parse_number", "save_bundle", "validate"),
+    "engine": (
+        "CONDITION_LIMIT", "CONSERVATION_RTOL", "SingularSystemError", "apply_scenario",
+        "build_system", "propagate_closed_form", "propagate_truncated",
+    ),
+    "margins": ("MarginError", "redistribute_margins"),
+    "rates": ("effective_rates",),
+    "reporting": (
+        "SUMMARY_KEYS", "bundle_digests", "result_record", "write_final_incidence_table",
+        "write_first_stage_table", "write_json", "write_margin_audit", "write_rates_table",
+        "write_result_json", "write_system_digest",
+    ),
+}
+
+
+def _load_pipeline() -> None:
+    """Bind each :data:`_PIPELINE` name here, keeping any already set from outside."""
+    # an import statement, unlike importlib.import_module, shows in -X importtime
+    from . import accounts, engine, margins, rates, reporting
+
+    for module in (accounts, engine, margins, rates, reporting):
+        for name in _PIPELINE[module.__name__.rpartition(".")[2]]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _PIPELINE.values()):
+        _load_pipeline()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Environment variable giving the default output directory.
 OUTPUT_DIR_ENV = "TAXCASCADE_OUT"
@@ -146,6 +160,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not manifest.is_file():
         print(f"usage error: manifest not found: {manifest}", file=sys.stderr)
         return 2
+    _load_pipeline()
     try:
         report = validate(load_bundle(manifest, check=False))
         out = Path(args.out)
@@ -169,6 +184,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
+    import numpy as np
+
     scale = np.ones(accounts.n)
     index = {code: i for i, code in enumerate(accounts.codes)}
     seen = set()
@@ -204,6 +221,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if not manifest.is_file():
         print(f"usage error: manifest not found: {manifest}", file=sys.stderr)
         return 2
+    _load_pipeline()
+    from dataclasses import asdict  # here, not at the top: it loads inspect, which diff never needs
+
     out = Path(args.out)
     try:
         accounts = load_bundle(manifest)
@@ -268,7 +288,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             solve={"condition": result.condition, "residual": result.solve_residual},
             truncation=None if result.truncation is None else asdict(result.truncation),
             component_shares={
-                c.value: None if np.isnan(share) else share
+                c.value: None if math.isnan(share) else share
                 for c, share in zip(COMPONENT_ORDER, report.component_shares.tolist())
             },
             diagnostics=list(report.diagnostics),

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .accounts import N_COMPONENTS, Activity, IOAccounts, TaxDestinationTable
+from .tables import totals
 
 #: Abort the closed form when the 1-norm condition number exceeds this.
 CONDITION_LIMIT = 1e12
@@ -58,11 +59,10 @@ INTERMEDIATE, STATUTORY = N_COMPONENTS, N_COMPONENTS + 1
 
 
 def with_totals(matrix: np.ndarray) -> np.ndarray:
-    """(n, k) ``matrix`` with its row-total column, then its Total row: the one place a
-    table's totals are summed.  Each Total-row cell is the correctly rounded sum of its
-    column (``math.fsum``), so it does not depend on the order of the activities."""
-    rows = np.column_stack([matrix, matrix.sum(axis=1)])
-    return np.vstack([rows, [math.fsum(column) for column in rows.T.tolist()]])
+    """(n, k) ``matrix`` with its row-total column, then its Total row, as summed by
+    :func:`~taxcascade.tables.totals`."""
+    row_totals, total_row = totals(matrix.tolist())
+    return np.vstack([np.column_stack([matrix, row_totals]), total_row])
 
 
 def first_stage_table(intermediate: np.ndarray, final: np.ndarray) -> np.ndarray:

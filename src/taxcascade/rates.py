@@ -19,10 +19,8 @@ from .accounts import Activity, COMPONENT_ORDER, DemandComponent, N_COMPONENTS
 from .engine import (
     INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult, first_stage_table, with_totals
 )
+from .tables import DISPLAY_THRESHOLD
 
-#: Expenditure at or below this (currency millions) is too small for a
-#: meaningful rate and is masked as ND.
-DISPLAY_THRESHOLD = 1000.0
 #: Cells masked despite expenditure above the threshold each get a diagnostic
 #: up to this many; the rest are counted in one summary line, so the audit
 #: stays bounded at any size.

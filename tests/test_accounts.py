@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import shutil
 
@@ -17,6 +18,7 @@ from taxcascade import (
     save_bundle,
     validate,
 )
+from taxcascade.accounts import _layout
 from taxcascade.reporting import write_json
 
 
@@ -452,6 +454,26 @@ def test_round_trip_awkward_values(tmp_path, accounts_factory):
     again = load_bundle(manifest)
     npt.assert_array_equal(again.flows, flows)
     npt.assert_array_equal(again.finaldemand, fd)
+
+
+def test_saved_tables_are_csv_of_reprs(tmp_path, accounts_factory):
+    # a code the csv module quotes, and -0.0 cells beside +0.0 ones: each table is
+    # byte for byte what csv.writer writes of the codes and the cells' reprs
+    flows = np.array([[-0.0, 0.0], [1 / 3, -0.0]])
+    fd = np.array([[1.0, -0.0, 0.0, 2.5, 0.0, 0.0], [0.0, 0.0, 4.0, -0.0, 1e-300, 0.0]])
+    accounts = accounts_factory(flows=flows, finaldemand=fd, codes=('a,"b"', "c d"))
+    manifest = save_bundle(accounts, tmp_path)
+    for name, columns, values in _layout(accounts.codes):
+        expected = io.StringIO()
+        rows = zip(accounts.codes, values(accounts).tolist())
+        csv.writer(expected, lineterminator="\n").writerows(
+            [["code", *columns]] + [[code, *map(repr, row)] for code, row in rows]
+        )
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected.getvalue().encode(), name
+    assert (tmp_path / "flows.csv").read_text().splitlines()[1] == '"a,""b""",-0.0,0.0'
+    again = load_bundle(manifest, check=False)
+    npt.assert_array_equal(again.flows.view(np.int64), flows.view(np.int64))
+    npt.assert_array_equal(again.finaldemand.view(np.int64), fd.view(np.int64))
 
 
 def test_metadata_round_trip_via_mapping():

@@ -187,8 +187,7 @@ def test_margin_adjustment_is_exact_record(accounts, scale):
 def test_recorded_totals_are_the_table_total_row(accounts):
     result, report = cascade(accounts)
     record = result_record(result, report, tolerances={}, components=COMPONENT_ORDER)
-    final = np.array(record["final_incidence"])
-    total_row = incidence_cells(final, COMPONENT_ORDER)[-1].tolist()
+    total_row = incidence_cells(record["final_incidence"], COMPONENT_ORDER)[-1]
     totals = record["totals"]
     assert [totals["by_component"][c.value] for c in COMPONENT_ORDER] == total_row[:-1]
     assert totals["final_incidence"] == total_row[-1]

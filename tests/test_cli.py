@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -623,6 +624,34 @@ def test_diff_rejects_record_without_diff_keys(demo_manifest, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("final_incidence", lambda rows: rows[:-1]),
+        ("final_incidence", lambda rows: [rows[0][:-1], *rows[1:]]),
+        ("effective_rates", lambda rows: [row + [0.0] for row in rows]),
+        ("labels", lambda labels: labels[:-1]),
+    ],
+    ids=["row-missing", "ragged", "column-extra", "label-missing"],
+)
+def test_diff_rejects_misshapen_record(demo_manifest, tmp_path, capsys, key, edit):
+    # a row too few would otherwise drop out of the diff without a word
+    compute_demo(demo_manifest, tmp_path / "a")
+    record = compute_demo(demo_manifest, tmp_path / "b")
+    record[key] = edit(record[key])
+    path = tmp_path / "b" / "result.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    rc = main([
+        "diff", "--baseline", str(tmp_path / "a"), "--scenario", str(tmp_path / "b"),
+        "--out", str(tmp_path / "d"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{path}: {key} not shaped for its 3 activities" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_diff_reads_no_display_table(demo_manifest, tmp_path):
     for name in ("a", "b"):
         compute_demo(demo_manifest, tmp_path / name)
@@ -681,3 +710,85 @@ def test_compute_loads_scipy_only_for_the_truncated_loop(demo_manifest, tmp_path
         assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
     else:
         assert modules == []
+
+
+def test_diff_loads_no_numpy(demo_manifest, tmp_path):
+    # diff subtracts two result.json records; numpy and scipy stay unloaded
+    reform = tmp_path / "reform.csv"
+    reform.write_text("code,scale\nmill,1.003\n")
+    compute_demo(demo_manifest, tmp_path / "base")
+    compute_demo(demo_manifest, tmp_path / "reform", "--scenario", str(reform))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from taxcascade.cli import main; rc = main(sys.argv[1:]); "
+         "loaded = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]; "
+         "print(json.dumps(sorted(loaded))); "
+         "sys.exit(rc)",
+         "diff", "--baseline", str(tmp_path / "base"), "--scenario", str(tmp_path / "reform"),
+         "--out", str(tmp_path / "diff")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "diff" / "effective_rates_diff.csv").is_file()
+
+
+def test_package_names_load_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, taxcascade; "
+         "from taxcascade import DISPLAY_THRESHOLD, DemandComponent; "
+         "print('numpy' in sys.modules); "
+         "from taxcascade import *; "
+         "import taxcascade.accounts as accounts; "
+         "print(all(name in globals() for name in taxcascade.__all__), "
+         "taxcascade.IOAccounts is accounts.IOAccounts, "
+         "set(taxcascade.__all__) <= set(dir(taxcascade)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True"]
+
+
+TRACING_CHILD = """
+import collections, json, sys
+sys.path.insert(0, sys.argv[1])
+from run import CLI_FUNCTIONS
+import taxcascade.cli as cli
+import taxcascade.reporting as reporting
+
+calls = collections.Counter()
+
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+# set before cli binds its pipeline: binding it must keep this wrapper
+cli.write_result_json = counting("write_result_json", reporting.write_result_json)
+missing = [name for name in CLI_FUNCTIONS if not callable(getattr(cli, name, None))]
+# as the benchmark wraps: read the name off cli, set the wrapper back
+cli.load_bundle = counting("load_bundle", cli.load_bundle)
+rc = cli.main(sys.argv[2:])
+print(json.dumps({"rc": rc, "missing": missing, "calls": calls}))
+"""
+
+
+def test_tracing_sees_every_cli_call(demo_manifest, tmp_path):
+    # bench/run.py --trace 1 resolves each name it wraps on a fresh taxcascade.cli
+    # and sets a wrapper there; compute calls through cli's globals, so it sees each call
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACING_CHILD, str(bench),
+         "compute", "--manifest", str(demo_manifest), "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {
+        "rc": 0, "missing": [], "calls": {"load_bundle": 1, "write_result_json": 1}
+    }

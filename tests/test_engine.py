@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from taxcascade import (
     CoefficientSystem,
@@ -16,7 +19,7 @@ from taxcascade import (
     redistribute_margins,
 )
 
-from taxcascade.engine import MAX_BLOCK, _block_to_build
+from taxcascade.engine import MAX_BLOCK, _block_to_build, with_totals
 
 from oracles import make_activities, random_system, stagewise_final_incidence
 
@@ -448,3 +451,43 @@ def test_apply_scenario_rejects_bad_scale(demo_manifest):
             apply_scenario(accounts, [1.0, bad, 1.0])
     with pytest.raises(ValueError, match="length"):
         apply_scenario(accounts, [1.0, 1.0])
+
+
+def numpy_totals(matrix: np.ndarray) -> np.ndarray:
+    """Table totals as numpy summed them: numpy row sums, then an fsum Total row."""
+    rows = np.column_stack([matrix, matrix.sum(axis=1)])
+    return np.vstack([rows, [math.fsum(column) for column in rows.T.tolist()]])
+
+
+# Mixed signs, signed zeros and subnormals; bounded so no sum overflows.
+TABLE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@st.composite
+def tables(draw) -> np.ndarray:
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 7)))
+    matrix = draw(arrays(np.float64, shape, elements=TABLE_CELLS))
+    if draw(st.booleans()):
+        matrix[draw(st.integers(0, shape[0] - 1))] = -0.0
+    return np.asfortranarray(matrix) if draw(st.booleans()) else matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_row_totals_are_numpys_bit_for_bit(matrix):
+    # the pure-Python totals give numpy's bits at every width a table has (six or
+    # seven columns, and fewer), in C and Fortran order, +0.0 on an all--0.0 row
+    ours = with_totals(matrix)
+    npt.assert_array_equal(ours.view(np.int64), numpy_totals(matrix).view(np.int64))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("width", range(1, 8))
+def test_negative_zero_rows_total_positive_zero(width, order):
+    matrix = np.full((2, width), -0.0, order=order)
+    totals = with_totals(matrix)
+    assert np.signbit(totals[:-1, -1]).tolist() == [False, False]
+    npt.assert_array_equal(totals.view(np.int64), numpy_totals(matrix).view(np.int64))

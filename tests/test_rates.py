@@ -182,7 +182,7 @@ def test_brazil_grand_total_is_one_double(brazil_accounts):
     result = propagate_closed_form(build_system(adjusted))
     report = effective_rates(result, adjusted.finaldemand)
     total = result.grand_total
-    assert incidence_cells(result.final_incidence, DEFAULT_REPORT_COMPONENTS)[-1, -1] == total
+    assert incidence_cells(result.final_incidence.tolist(), DEFAULT_REPORT_COMPONENTS)[-1][-1] == total
     spent = with_totals(adjusted.finaldemand)[-1, -1]
     assert report.total_rates[6] == 100.0 * total / (spent - total)
 
