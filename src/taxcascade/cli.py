@@ -242,6 +242,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 f"margins: moved supply {adjustment.total_supply_moved:.2f}, "
                 f"tax {adjustment.total_tax_moved:.2f}"
             )
+        # Nothing reads the input accounts past the margin step; dropped here,
+        # they are not held beside the coefficient system and the solve.
+        del accounts
 
         system = build_system(engine_input, allow_unredistributed_margins=args.skip_margins)
         if args.method == "truncated":

@@ -111,11 +111,12 @@ def build_system(
             "accounts still carry margin shares; run redistribute_margins first "
             "or pass allow_unredistributed_margins=True"
         )
-    supply = accounts.supply
-    safe = np.where(supply > 0, supply, 1.0)[:, None]
-    producing = supply > 0
-    shares = np.where(producing[:, None], accounts.flows / safe, 0.0)
-    final_shares = np.where(producing[:, None], accounts.finaldemand / safe, 0.0)
+    supply = accounts.supply[:, None]
+    shares, final_shares = (
+        np.divide(table, supply, out=np.zeros_like(table), where=supply > 0)
+        for table in (accounts.flows, accounts.finaldemand)
+    )
+    producing = supply[:, 0] > 0
 
     rowsums = shares.sum(axis=1) + final_shares.sum(axis=1)
     off = np.abs(rowsums[producing] - 1.0)
@@ -259,7 +260,9 @@ def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
     :class:`SingularSystemError`, in which case :func:`propagate_truncated`
     can still show how mass circulates in such structures.
     """
-    lhs = (np.eye(system.n) - system.intermediate_shares).T
+    # (I - shares).T bit for bit and in its memory order, without an identity matrix
+    lhs = np.subtract(0.0, system.intermediate_shares, order="C").T
+    lhs.flat[:: system.n + 1] += 1.0
     try:
         inverse_norm = np.abs(np.linalg.solve(lhs.T, np.ones(system.n))).max()
         cumulative = np.linalg.solve(lhs, system.intermediate_tax)

@@ -2,14 +2,24 @@
 
 The stage simulator here is deliberately plain Python over lists: it moves
 tax parcels through explicit stages with no linear algebra, so it shares no
-code path with either engine route it is used to check.
+code path with either engine route it is used to check.  The dense margin
+step is the whole-table form of ``redistribute_margins`` that the blocked one
+must match bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from taxcascade import Activity, CoefficientSystem, IOAccounts, TaxDestinationTable
+from taxcascade import (
+    COMPONENT_ORDER,
+    Activity,
+    CoefficientSystem,
+    IOAccounts,
+    MarginAdjustment,
+    MarginError,
+    TaxDestinationTable,
+)
 
 
 def make_activities(n: int) -> tuple[Activity, ...]:
@@ -96,4 +106,69 @@ def random_accounts(
         supply=supply,
         taxdest=TaxDestinationTable(dest=dest, statutory=dest.sum(axis=1)),
         marginshares=marginshares,
+    )
+
+
+def dense_redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjustment]:
+    """``redistribute_margins`` on whole (n, n+6) tables, one dense temporary per
+    term: the reference for the blocked step's bits and memory order."""
+    mu = accounts.marginshares
+    margin = mu > 0
+    n = accounts.n
+    codes = accounts.codes
+    destinations = codes + tuple(c.value for c in COMPONENT_ORDER)
+
+    if not margin.any():
+        zeros = np.zeros(n + len(COMPONENT_ORDER))
+        return accounts, MarginAdjustment(codes, destinations, zeros, zeros, zeros, 0.0, 0.0)
+
+    dead = margin & (accounts.supply == 0)
+    if dead.any():
+        names = ", ".join(codes[i] for i in np.flatnonzero(dead))
+        raise MarginError(f"margin share set on zero-supply activities: {names}")
+
+    supply_rows = np.hstack([accounts.flows, accounts.finaldemand])
+    tax_rows = accounts.taxdest.dest
+
+    removed_supply = np.zeros_like(supply_rows)
+    removed_supply[margin] = mu[margin, None] * supply_rows[margin]
+    removed_tax = np.zeros_like(tax_rows)
+    removed_tax[margin] = mu[margin, None] * tax_rows[margin]
+
+    goods_rows = supply_rows[~margin]
+    weight_base = goods_rows.sum(axis=0)
+
+    supply_pool = removed_supply.sum(axis=0)
+    tax_pool = removed_tax.sum(axis=0)
+    needs = (supply_pool != 0) | (tax_pool != 0)
+    blocked = needs & (weight_base == 0)
+    if blocked.any():
+        names = ", ".join(destinations[d] for d in np.flatnonzero(blocked))
+        raise MarginError(
+            f"margin supply or tax destined to columns with no non-margin supply: {names}"
+        )
+
+    weights = np.zeros_like(supply_rows)
+    cols = np.flatnonzero(needs)
+    weights[np.ix_(~margin, cols)] = goods_rows[:, cols] / weight_base[cols]
+
+    new_supply_rows = supply_rows + (weights * supply_pool - removed_supply)
+    new_tax_rows = tax_rows + (weights * tax_pool - removed_tax)
+    adjusted = IOAccounts(
+        activities=accounts.activities,
+        flows=new_supply_rows[:, :n],
+        finaldemand=new_supply_rows[:, n:],
+        supply=new_supply_rows.sum(axis=1),
+        taxdest=TaxDestinationTable(dest=new_tax_rows, statutory=new_tax_rows.sum(axis=1)),
+        marginshares=np.zeros(n),
+        metadata=accounts.metadata,
+    )
+    return adjusted, MarginAdjustment(
+        activity_codes=codes,
+        destination_labels=destinations,
+        supply_pool=supply_pool,
+        tax_pool=tax_pool,
+        weight_base=weight_base,
+        total_supply_moved=float(removed_supply.sum()),
+        total_tax_moved=float(removed_tax.sum()),
     )

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from taxcascade import (
     redistribute_margins,
     save_bundle,
 )
+import taxcascade.cli as cli
 from taxcascade.cli import main
 
 from test_accounts import (
@@ -352,6 +354,44 @@ def test_margin_adjustment_is_exact_record(demo_manifest, tmp_path, scenario):
         accounts = apply_scenario(accounts, [0.0, 1.003, 2.5])
     assert main(args) == 0
     assert_margin_audit_is_exact(out / "margin_adjustment.csv", accounts)
+
+
+@pytest.mark.parametrize("scenario", [False, True])
+def test_compute_drops_the_input_accounts_after_the_margin_step(
+    demo_manifest, tmp_path, monkeypatch, scenario
+):
+    # the loaded accounts, and the scaled ones of a scenario run, are dead by
+    # the time the coefficient system is built from the adjusted accounts
+    inputs = []
+
+    def keeping_a_weakref(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            accounts = fn(*args, **kwargs)
+            inputs.append((name, weakref.ref(accounts)))
+            return accounts
+
+        return wrapper
+
+    alive_at_build = []
+
+    def building(*args, **kwargs):
+        alive_at_build.extend(name for name, ref in inputs if ref() is not None)
+        return build(*args, **kwargs)
+
+    build = cli.build_system
+    for name in ("load_bundle", "apply_scenario"):
+        monkeypatch.setattr(cli, name, keeping_a_weakref(name))
+    monkeypatch.setattr(cli, "build_system", building)
+    args = ["compute", "--manifest", str(demo_manifest), "--out", str(tmp_path / "run")]
+    if scenario:
+        path = tmp_path / "scenario.csv"
+        path.write_text("code,scale\nmill,1.003\n", encoding="utf-8")
+        args += ["--scenario", str(path)]
+    assert main(args) == 0
+    assert [name for name, _ in inputs] == ["load_bundle"] + ["apply_scenario"] * scenario
+    assert alive_at_build == []
 
 
 def test_truncated_requires_tol_and_maxstages(demo_manifest, tmp_path):

@@ -17,11 +17,12 @@ from taxcascade import (
     propagate_closed_form,
     propagate_truncated,
     redistribute_margins,
+    save_bundle,
 )
 
 from taxcascade.engine import MAX_BLOCK, _block_to_build, with_totals
 
-from oracles import make_activities, random_system, stagewise_final_incidence
+from oracles import make_activities, random_accounts, random_system, stagewise_final_incidence
 
 
 def two_by_two() -> CoefficientSystem:
@@ -230,6 +231,33 @@ def test_closed_form_condition_matches_gecon_on_brazil(brazil_accounts):
     rcond, info = gecon(lu_factor(lhs)[0], np.linalg.norm(lhs, 1))
     assert info == 0
     assert propagate_closed_form(system).condition == pytest.approx(1.0 / rcond, rel=1e-12)
+
+
+@pytest.mark.parametrize("column_major", [False, True])
+def test_shares_and_solve_match_whole_table_forms_bit_for_bit(tmp_path, column_major):
+    # build_system divides into zeroed tables and the closed form builds I - shares
+    # without an identity matrix; both keep the bits and memory order of the forms
+    # that held one more n x n table each
+    accounts = random_accounts(np.random.default_rng(11), n=200, margins=3)
+    if column_major:  # as load_bundle gives them
+        accounts = load_bundle(save_bundle(accounts, tmp_path))
+    accounts = redistribute_margins(accounts)[0]
+    system = build_system(accounts)
+    supply = accounts.supply[:, None]
+    safe = np.where(supply > 0, supply, 1.0)
+    for got, table in (
+        (system.intermediate_shares, accounts.flows),
+        (system.final_shares, accounts.finaldemand),
+    ):
+        want = np.where(supply > 0, table / safe, 0.0)
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.flags.f_contiguous == want.flags.f_contiguous == column_major
+    lhs = (np.eye(system.n) - system.intermediate_shares).T
+    inverse_norm = np.abs(np.linalg.solve(lhs.T, np.ones(system.n))).max()
+    cumulative = np.linalg.solve(lhs, system.intermediate_tax)
+    result = propagate_closed_form(system)
+    assert result.condition == float(np.linalg.norm(lhs, 1) * inverse_norm)
+    assert result.solve_residual == float(np.abs(lhs @ cumulative - system.intermediate_tax).max())
 
 
 def test_truncated_flags_non_convergence():

@@ -1,20 +1,29 @@
 import csv
+import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import taxcascade.margins as margins
 from taxcascade import (
     COMPONENT_ORDER,
+    IOAccounts,
     MarginError,
+    TaxDestinationTable,
     load_bundle,
     redistribute_margins,
+    save_bundle,
     validate,
 )
 from taxcascade.reporting import write_margin_audit
 
-from oracles import random_accounts
+from oracles import dense_redistribute_margins, make_activities, random_accounts
 
 
 def rebuilt_deltas(accounts, record):
@@ -300,3 +309,85 @@ def test_weights_come_from_supply_not_tax(accounts_factory):
     )
     adjusted, _ = redistribute_margins(accounts)
     npt.assert_allclose(adjusted.taxdest.final[:2, 2], [103.0, 3.0])
+
+
+# Signed zeros often, so that margin and goods rows both hold -0.0 cells.
+MARGIN_CELLS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def margin_bundles(draw) -> IOAccounts:
+    """Accounts with margin rows anywhere (first, last, not contiguous) and each
+    table in C or Fortran order on its own."""
+    n = draw(st.integers(2, 24))
+
+    def table(width):
+        cells = draw(arrays(np.float64, (n, width), elements=MARGIN_CELLS))
+        return np.asfortranarray(cells) if draw(st.booleans()) else cells
+
+    flows, finaldemand, dest = table(n), table(6), table(n + 6)
+    supply = flows.sum(axis=1) + finaldemand.sum(axis=1)
+    # a margin activity without supply is refused before any margin moves
+    margin = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))) & (supply != 0)
+    assume(margin.any())
+    shares = draw(arrays(np.float64, n, elements=st.floats(0.05, 1.0)))
+    return IOAccounts(
+        activities=make_activities(n),
+        flows=flows,
+        finaldemand=finaldemand,
+        supply=supply,
+        taxdest=TaxDestinationTable(dest=dest, statutory=dest.sum(axis=1)),
+        marginshares=np.where(margin, shares, 0.0),
+    )
+
+
+def margin_outcome(step, accounts):
+    """The bits and memory order of every array and total ``step`` returns, or its error."""
+    try:
+        adjusted, record = step(accounts)
+    except MarginError as exc:
+        return str(exc)
+    arrays_out = {
+        "flows": adjusted.flows,
+        "finaldemand": adjusted.finaldemand,
+        "supply": adjusted.supply,
+        "dest": adjusted.taxdest.dest,
+        "statutory": adjusted.taxdest.statutory,
+        "supply_pool": record.supply_pool,
+        "tax_pool": record.tax_pool,
+        "weight_base": record.weight_base,
+        "totals": np.array([record.total_supply_moved, record.total_tax_moved]),
+    }
+    return {
+        name: (values.view(np.int64).tolist(), values.flags.c_contiguous, values.flags.f_contiguous)
+        for name, values in arrays_out.items()
+    }
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, margins.MARGIN_BLOCK])
+@settings(max_examples=150, deadline=None)
+@given(accounts=margin_bundles())
+def test_blocked_margin_step_matches_dense_bit_for_bit(block, accounts):
+    # n + 6 is 8 to 30 columns, so blocks of 3 and 5 often leave a partial last one;
+    # 8 or more goods rows make a pairwise column sum round differently
+    with mock.patch.object(margins, "MARGIN_BLOCK", block):
+        blocked = margin_outcome(redistribute_margins, accounts)
+    assert blocked == margin_outcome(dense_redistribute_margins, accounts)
+
+
+def test_margin_step_holds_at_most_three_tables_above_its_input(tmp_path):
+    # Column-major tables, as load_bundle gives them.  The two adjusted tables
+    # are two of the three; numpy's ufunc buffers (a fixed 64 KB or so each) and
+    # the block scratch share the third, and the dense step held seven.
+    n = 400
+    accounts = load_bundle(save_bundle(random_accounts(np.random.default_rng(5), n, 5), tmp_path))
+    table = n * (n + 6) * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        redistribute_margins(accounts)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table, f"{peak / table:.2f} tables"
