@@ -23,9 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tables import (  # noqa: F401  (DEFAULT_REPORT_COMPONENTS is re-exported)
-    COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, N_COMPONENTS, DemandComponent
-)
+from .tables import COMPONENT_ORDER, N_COMPONENTS, DemandComponent
 
 # Relative tolerance for the row balance supply = flows + final demand and for
 # statutory-vs-destination consistency.  Published tables are rounded to

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from pathlib import Path
@@ -38,13 +37,13 @@ if TYPE_CHECKING:
 _PIPELINE = {
     "accounts": ("BundleError", "load_bundle", "parse_number", "save_bundle", "validate"),
     "engine": (
-        "CONDITION_LIMIT", "CONSERVATION_RTOL", "SingularSystemError", "apply_scenario",
-        "build_system", "propagate_closed_form", "propagate_truncated",
+        "SingularSystemError", "apply_scenario", "build_system", "propagate_closed_form",
+        "propagate_truncated",
     ),
     "margins": ("MarginError", "redistribute_margins"),
     "rates": ("effective_rates",),
     "reporting": (
-        "SUMMARY_KEYS", "bundle_digests", "result_record", "write_final_incidence_table",
+        "audit_record", "bundle_digests", "result_record", "write_final_incidence_table",
         "write_first_stage_table", "write_json", "write_margin_audit", "write_rates_table",
         "write_result_json", "write_system_digest",
     ),
@@ -222,8 +221,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
         print(f"usage error: manifest not found: {manifest}", file=sys.stderr)
         return 2
     _load_pipeline()
-    from dataclasses import asdict  # here, not at the top: it loads inspect, which diff never needs
-
     out = Path(args.out)
     try:
         accounts = load_bundle(manifest)
@@ -266,36 +263,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
         ):
             written.append(write(data, out / f"{stem}.csv", components=args.components))
 
-        tolerances = {
-            "conservation_rtol": CONSERVATION_RTOL,
-            "condition_limit": CONDITION_LIMIT,
-            "truncation_tol": args.tol,
-            "maxstages": args.maxstages,
-            "threshold": args.threshold,
-        }
-        record = result_record(result, report, tolerances=tolerances, components=args.components)
+        record = result_record(result, report, components=args.components)
         written.append(write_result_json(record, out / "result.json"))
         outputs = [path.relative_to(out).as_posix() for path in written] + ["audit.json"]
-        audit = {key: record[key] for key in SUMMARY_KEYS}
-        audit.update(
-            bundle=bundle_digests(manifest),
-            manifest=str(args.manifest),
-            scenario=args.scenario,
-            skip_margins=bool(args.skip_margins),
-            margins=None
-            if adjustment is None
-            else {
-                "supply_moved": adjustment.total_supply_moved,
-                "tax_moved": adjustment.total_tax_moved,
-            },
-            solve={"condition": result.condition, "residual": result.solve_residual},
-            truncation=None if result.truncation is None else asdict(result.truncation),
-            component_shares={
-                c.value: None if math.isnan(share) else share
-                for c, share in zip(COMPONENT_ORDER, report.component_shares.tolist())
-            },
-            diagnostics=list(report.diagnostics),
-            outputs=sorted(outputs),
+        audit = audit_record(
+            result, report, adjustment, bundle=bundle_digests(manifest),
+            manifest=str(args.manifest), scenario=args.scenario, tol=args.tol,
+            maxstages=args.maxstages, threshold=args.threshold, outputs=outputs,
         )
         write_json(audit, out / "audit.json")
 

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .accounts import N_COMPONENTS, Activity, IOAccounts, TaxDestinationTable
-from .tables import totals
+from .accounts import Activity, IOAccounts, TaxDestinationTable
+from .tables import N_COMPONENTS, totals
 
 #: Abort the closed form when the 1-norm condition number exceeds this.
 CONDITION_LIMIT = 1e12
@@ -197,9 +197,13 @@ class IncidenceResult:
         return float(self.incidence_table[-1, -1])
 
     @cached_property
+    def first_stage(self) -> np.ndarray:
+        """(n + 1, 8) first-stage tax with its totals, from :func:`first_stage_table`."""
+        return first_stage_table(self.first_stage_intermediate, self.first_stage_final)
+
+    @property
     def statutory_total(self) -> float:
-        table = first_stage_table(self.first_stage_intermediate, self.first_stage_final)
-        return float(table[-1, STATUTORY])
+        return float(self.first_stage[-1, STATUTORY])
 
     @property
     def conservation_residual(self) -> float:
@@ -343,7 +347,8 @@ def propagate_truncated(
     loop replays that block stage by stage, so ``stages`` is the first passing
     stage, as in the single-stage loop, and no block runs past ``maxstages``.
     Summing in blocks moves the cells in their last digits only.
-    ``truncation`` records the block and the stage it was built at.
+    ``truncation`` records the block and the stage it was built at.  A series
+    that diverges until the mass overflows raises ValueError.
     """
     from scipy.sparse import csr_matrix
 
@@ -411,12 +416,16 @@ def propagate_truncated(
             block *= 2
         from_stage = stages
     del total, work, ahead
+    series_residual = float(mass.sum())
+    # a non-finite mass stays in the running sum, so one test after the loop finds it
+    if not (np.isfinite(cumulative).all() and math.isfinite(series_residual)):
+        raise ValueError(f"the stage series diverges: the tax mass overflowed in {stages} stages")
     return _result(
         system,
         cumulative,
         method="truncated",
         stages=stages,
-        series_residual=float(mass.sum()),
+        series_residual=series_residual,
         converged=converged,
         truncation=Truncation(block=block, from_stage=from_stage),
     )

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounts import COMPONENT_ORDER, IOAccounts, N_COMPONENTS, TaxDestinationTable
+from .accounts import IOAccounts, TaxDestinationTable
+from .tables import COMPONENT_ORDER, N_COMPONENTS
 
 
 class MarginError(ValueError):

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounts import Activity, COMPONENT_ORDER, DemandComponent, N_COMPONENTS
+from .accounts import Activity
 from .engine import (
     INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult, first_stage_table, with_totals
 )
-from .tables import DISPLAY_THRESHOLD
+from .tables import COMPONENT_ORDER, DISPLAY_THRESHOLD, N_COMPONENTS, DemandComponent
 
 #: Cells masked despite expenditure above the threshold each get a diagnostic
 #: up to this many; the rest are counted in one summary line, so the audit

@@ -5,6 +5,9 @@ first-stage destinations, final incidence by component with an all-components
 total column, and effective rates with ND masking.  Every writer is
 deterministic (fixed column order, fixed line endings, no timestamps) so that
 identical inputs produce identical bytes.
+
+Each fact of a run is in one file: ``result.json`` holds the numbers, ``audit.json``
+how the run went and ``system_digest.json`` the coefficient system.
 """
 
 from __future__ import annotations
@@ -12,25 +15,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .engine import INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult, first_stage_table
+from .engine import (
+    CONDITION_LIMIT, CONSERVATION_RTOL, INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult
+)
 from .margins import MarginAdjustment
 from .rates import RateReport
-from .tables import (  # noqa: F401  (the diff names are re-exported)
-    COMPONENT_ORDER,
-    DEFAULT_REPORT_COMPONENTS,
-    ND,
-    DemandComponent,
-    _component_columns,
-    _table_header,
-    diff_tables,
-    incidence_cells,
-    rate_cells,
-    read_result_json,
-    write_rows,
+from .tables import (
+    COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, ND, DemandComponent, _component_columns,
+    _table_header, rate_cells, write_rows,
 )
 
 MONEY_PRECISION = 2
@@ -67,8 +64,7 @@ def write_first_stage_table(
     """Statutory tax and its first-stage split: intermediate vs final demand."""
     idx, names = _component_columns(components)
     header = ["code", "label", "statutory", "intermediate"] + names
-    table = first_stage_table(result.first_stage_intermediate, result.first_stage_final)
-    cells = table[:, [STATUTORY, INTERMEDIATE] + idx].tolist()
+    cells = result.first_stage[:, [STATUTORY, INTERMEDIATE] + idx].tolist()
     rows = _table_rows(result.activities, cells, MONEY_PRECISION)
     return write_rows(Path(path), header, rows)
 
@@ -79,8 +75,9 @@ def write_final_incidence_table(
     *,
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
 ) -> Path:
-    """Final incidence by component, with the cells of :func:`incidence_cells`."""
-    cells = incidence_cells(result.final_incidence.tolist(), components)
+    """Final incidence by component, with the cells of :func:`rate_cells` (the total
+    over all six components, so hidden ones still count)."""
+    cells = rate_cells(result.incidence_table.tolist(), components)
     rows = _table_rows(result.activities, cells, MONEY_PRECISION)
     return write_rows(Path(path), _table_header(components), rows)
 
@@ -114,19 +111,12 @@ def _array_digest(arr: np.ndarray) -> str:
 
 
 def write_system_digest(system: CoefficientSystem, path: str | Path) -> Path:
-    """Checkable summary of a coefficient system (shapes, totals, checksums)."""
+    """Checkable summary of a coefficient system: its share rows and checksums."""
     rowsums = system.intermediate_shares.sum(axis=1) + system.final_shares.sum(axis=1)
     supplyless = [a.code for a, total in zip(system.activities, rowsums) if total == 0]
-    totals = first_stage_table(system.intermediate_tax, system.final_tax)[-1].tolist()
     digest = {
-        "activities": len(system.activities),
         "zero_share_rows": supplyless,
         "share_row_sums": {"min": float(rowsums.min()), "max": float(rowsums.max())},
-        "first_stage": {
-            "intermediate_total": totals[INTERMEDIATE],
-            "final_totals": {c.value: totals[c.column] for c in COMPONENT_ORDER},
-            "statutory_total": totals[STATUTORY],
-        },
         "sha256": {
             "intermediate_shares": _array_digest(system.intermediate_shares),
             "final_shares": _array_digest(system.final_shares),
@@ -137,33 +127,15 @@ def write_system_digest(system: CoefficientSystem, path: str | Path) -> Path:
     return write_json(digest, path)
 
 
-#: Keys of :func:`result_record` that make up the run summary; ``audit.json``
-#: repeats them.
-SUMMARY_KEYS = (
-    "method", "stages", "converged", "series_residual", "conservation", "tolerances", "totals"
-)
-
-
 def result_record(
     result: IncidenceResult,
     report: RateReport,
     *,
-    tolerances: dict,
     components: tuple[DemandComponent, ...],
 ) -> dict:
-    """Structured form of a run: the run summary, then the full arrays diff reads."""
+    """The numbers of a run, ``result.json``: its totals and the full arrays diff reads."""
     totals = result.incidence_table[-1].tolist()
     return {
-        "method": result.method,
-        "stages": result.stages,
-        "converged": result.converged,
-        "series_residual": result.series_residual,
-        "conservation": {
-            "residual": result.conservation_residual,
-            "relative": result.conservation_relative,
-            "within_tolerance": result.conserved,
-        },
-        "tolerances": tolerances,
         "totals": {
             "statutory": result.statutory_total,
             "final_incidence": totals[-1],
@@ -187,6 +159,51 @@ def result_record(
 def write_result_json(record: dict, path: str | Path) -> Path:
     """A :func:`result_record` as ``result.json``, the file ``diff`` reads."""
     return write_json(record, path)
+
+
+def audit_record(
+    result: IncidenceResult, report: RateReport, adjustment: MarginAdjustment | None, *,
+    bundle: dict, manifest: str, scenario: str | None, tol: float | None,
+    maxstages: int | None, threshold: float, outputs: list[str],
+) -> dict:
+    """How a run went, ``audit.json``: its inputs (``bundle`` from :func:`bundle_digests`),
+    method, convergence, tolerances, margin totals (None without an ``adjustment``),
+    solve, component shares, diagnostics and ``outputs``."""
+    return {
+        "method": result.method,
+        "stages": result.stages,
+        "converged": result.converged,
+        "series_residual": result.series_residual,
+        "conservation": {
+            "residual": result.conservation_residual,
+            "relative": result.conservation_relative,
+            "within_tolerance": result.conserved,
+        },
+        "tolerances": {
+            "conservation_rtol": CONSERVATION_RTOL,
+            "condition_limit": CONDITION_LIMIT,
+            "truncation_tol": tol,
+            "maxstages": maxstages,
+            "threshold": threshold,
+        },
+        "margins": None
+        if adjustment is None
+        else {
+            "supply_moved": adjustment.total_supply_moved,
+            "tax_moved": adjustment.total_tax_moved,
+        },
+        "solve": {"condition": result.condition, "residual": result.solve_residual},
+        "truncation": None if result.truncation is None else asdict(result.truncation),
+        "component_shares": {
+            c.value: None if math.isnan(share) else share
+            for c, share in zip(COMPONENT_ORDER, report.component_shares.tolist())
+        },
+        "diagnostics": list(report.diagnostics),
+        "bundle": bundle,
+        "manifest": manifest,
+        "scenario": scenario,
+        "outputs": sorted(outputs),
+    }
 
 
 def file_digest(path: str | Path) -> str:

@@ -2,7 +2,7 @@
 
 ``taxcascade diff`` subtracts two ``result.json`` records and needs nothing
 else, so it runs on this module alone and never loads numpy.  The numpy
-modules re-export the component names from here and sum every table's totals
+modules import the component names from here and sum every table's totals
 with :func:`totals`, so ``diff`` and the tables a ``compute`` writes share one
 arithmetic.
 """

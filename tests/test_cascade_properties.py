@@ -28,7 +28,8 @@ from taxcascade import (
     redistribute_margins,
     save_bundle,
 )
-from taxcascade.reporting import incidence_cells, result_record, write_margin_audit
+from taxcascade.reporting import result_record, write_margin_audit
+from taxcascade.tables import incidence_cells
 
 from oracles import make_activities, stagewise_final_incidence
 from test_margins import assert_margin_audit_is_exact
@@ -186,7 +187,7 @@ def test_margin_adjustment_is_exact_record(accounts, scale):
 @given(accounts=economies())
 def test_recorded_totals_are_the_table_total_row(accounts):
     result, report = cascade(accounts)
-    record = result_record(result, report, tolerances={}, components=COMPONENT_ORDER)
+    record = result_record(result, report, components=COMPONENT_ORDER)
     total_row = incidence_cells(record["final_incidence"], COMPONENT_ORDER)[-1]
     totals = record["totals"]
     assert [totals["by_component"][c.value] for c in COMPONENT_ORDER] == total_row[:-1]

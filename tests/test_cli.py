@@ -60,6 +60,19 @@ def loop_bundle(tmp_path, accounts_factory):
     return save_bundle(accounts, tmp_path / "loop")
 
 
+def diverging_bundle(tmp_path, accounts_factory):
+    """Two activities each selling 1.5 times its supply to the other, the excess
+    drawn from inventory: a valid bundle whose stage series grows by 1.5 a stage
+    until it overflows, while the closed form stays finite."""
+    flows = np.array([[0.0, 15.0], [15.0, 0.0]])
+    fd = np.zeros((2, 6))
+    fd[:, DemandComponent.INVENTORY.column] = -5.0
+    dest = np.zeros((2, 8))
+    dest[0, 1] = dest[1, 0] = 1.0
+    accounts = accounts_factory(flows=flows, finaldemand=fd, dest=dest)
+    return save_bundle(accounts, tmp_path / "diverging")
+
+
 # -- validate ----------------------------------------------------------------
 
 
@@ -164,8 +177,9 @@ def test_compute_demo_outputs(demo_manifest, tmp_path, capsys):
     assert set(audit["outputs"]) == COMPUTE_OUTPUTS
     assert audit["converged"] is True
     assert audit["conservation"]["within_tolerance"] is True
-    assert audit["totals"]["statutory"] == pytest.approx(43.0)
     assert audit["margins"]["supply_moved"] == pytest.approx(0.8 * 50.0)
+    result = json.loads((out / "result.json").read_text())
+    assert result["totals"]["statutory"] == pytest.approx(43.0)
 
     rows = read_csv(out / "final_incidence.csv")
     assert rows[-1][0] == "Total"
@@ -183,7 +197,8 @@ def test_compute_matches_hand_solved_system(tmp_path, accounts_factory):
     assert incidence[0][2] == pytest.approx(525.0 / 77.0, rel=1e-12)
     assert incidence[1][2] == pytest.approx(630.0 / 77.0, rel=1e-12)
     assert result["totals"]["statutory"] == pytest.approx(15.0)
-    assert result["conservation"]["within_tolerance"] is True
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["conservation"]["within_tolerance"] is True
 
 
 def test_compute_scenario_scaling(demo_manifest, tmp_path):
@@ -197,8 +212,9 @@ def test_compute_scenario_scaling(demo_manifest, tmp_path):
         "--out", str(out),
     ])
     assert rc == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["totals"]["statutory"] == pytest.approx(13.0)
     audit = json.loads((out / "audit.json").read_text())
-    assert audit["totals"]["statutory"] == pytest.approx(13.0)
     assert audit["scenario"] == str(scenario)
 
 
@@ -272,15 +288,34 @@ def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def test_audit_repeats_result_summary(demo_manifest, tmp_path):
+#: The top-level keys of each JSON record a ``compute`` writes, as README lists them.
+RECORD_KEYS = {
+    "result.json": {
+        "totals", "activities", "labels", "components", "report_components",
+        "first_stage_intermediate", "first_stage_final", "subsequent_stage", "final_incidence",
+        "effective_rates",
+    },
+    "audit.json": {
+        "method", "stages", "converged", "series_residual", "conservation", "tolerances",
+        "margins", "solve", "truncation", "component_shares", "diagnostics", "bundle",
+        "manifest", "scenario", "outputs",
+    },
+    "system_digest.json": {"zero_share_rows", "share_row_sums", "sha256"},
+}
+
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--skip-margins", "--method", "truncated", "--tol", "1e-12", "--maxstages", "10000"]],
+    ids=["closed-form", "truncated-skip-margins"],
+)
+def test_each_fact_is_in_one_record(demo_manifest, tmp_path, options):
     out = tmp_path / "run"
-    assert main(["compute", "--manifest", str(demo_manifest), "--out", str(out)]) == 0
-    audit = json.loads((out / "audit.json").read_text())
-    result = json.loads((out / "result.json").read_text())
-    for key in (
-        "method", "stages", "converged", "series_residual", "conservation", "tolerances", "totals"
-    ):
-        assert audit[key] == result[key], key
+    assert main(["compute", "--manifest", str(demo_manifest), "--out", str(out), *options]) == 0
+    for name, keys in RECORD_KEYS.items():
+        assert set(json.loads((out / name).read_text())) == keys, name
+    result, audit, digest = RECORD_KEYS.values()
+    assert not (result & audit or result & digest or audit & digest)
 
 
 def test_audit_records_the_solve(demo_manifest, tmp_path):
@@ -337,7 +372,6 @@ def test_compute_skip_margins(demo_manifest, tmp_path):
     assert not (out / "margin_adjustment.csv").exists()
     audit = json.loads((out / "audit.json").read_text())
     assert audit["margins"] is None
-    assert audit["skip_margins"] is True
 
 
 @pytest.mark.parametrize("scenario", [None, "code,scale\nfarm,0\nmill,1.003\ntrade,2.5\n"])
@@ -495,6 +529,23 @@ def test_closed_form_on_singular_bundle_fails(tmp_path, accounts_factory, capsys
     assert rc == 1
     assert "truncated" in capsys.readouterr().err
     assert not list((tmp_path / "run").rglob("*"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_diverging_series_fails_and_writes_nothing(tmp_path, accounts_factory, capsys):
+    manifest = diverging_bundle(tmp_path, accounts_factory)
+    out = tmp_path / "run"
+    rc = main([
+        "compute", "--manifest", str(manifest), "--method", "truncated", "--tol", "1e-12",
+        "--maxstages", "5000", "--allow-residual", "--threshold", "0", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "the stage series diverges" in capsys.readouterr().err
+    assert not out.exists()
+    # the closed form on the same bundle is finite, and strict JSON parsers accept it
+    assert main(["compute", "--manifest", str(manifest), "--threshold", "0", "--out", str(out)]) == 0
+    for name in ("result.json", "audit.json", "system_digest.json"):
+        json.loads((out / name).read_text(encoding="utf-8"), parse_constant=reject_constant)
 
 
 def test_nonconvergent_run_still_writes_every_output(tmp_path, accounts_factory):

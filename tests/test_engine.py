@@ -21,6 +21,7 @@ from taxcascade import (
 )
 
 from taxcascade.engine import MAX_BLOCK, _block_to_build, with_totals
+from taxcascade.tables import COMPONENT_ORDER, N_COMPONENTS, incidence_cells, rate_cells
 
 from oracles import make_activities, random_accounts, random_system, stagewise_final_incidence
 
@@ -510,6 +511,21 @@ def test_row_totals_are_numpys_bit_for_bit(matrix):
     # seven columns, and fewer), in C and Fortran order, +0.0 on an all--0.0 row
     ours = with_totals(matrix)
     npt.assert_array_equal(ours.view(np.int64), numpy_totals(matrix).view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 12), st.just(N_COMPONENTS)), elements=TABLE_CELLS),
+    st.booleans(),
+    st.sets(st.sampled_from(COMPONENT_ORDER), min_size=1),
+)
+def test_incidence_table_gives_diffs_cells_bit_for_bit(matrix, fortran, shown):
+    # compute's final-incidence table selects its cells from the array with_totals
+    # built; diff sums the record's cells again with incidence_cells
+    matrix = np.asfortranarray(matrix) if fortran else matrix
+    ours = rate_cells(with_totals(matrix).tolist(), tuple(shown))
+    theirs = incidence_cells(matrix.tolist(), tuple(shown))
+    npt.assert_array_equal(np.array(ours).view(np.int64), np.array(theirs).view(np.int64))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -16,17 +16,16 @@ from taxcascade import (
     redistribute_margins,
     single_rate_equivalent,
 )
-from taxcascade.accounts import DEFAULT_REPORT_COMPONENTS
 from taxcascade.engine import with_totals
 from taxcascade.rates import MAX_CELL_DIAGNOSTICS
 from taxcascade.reporting import (
     ND,
     format_number,
-    incidence_cells,
     write_final_incidence_table,
     write_first_stage_table,
     write_rates_table,
 )
+from taxcascade.tables import DEFAULT_REPORT_COMPONENTS, incidence_cells
 
 from oracles import make_activities
 
