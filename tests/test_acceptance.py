@@ -160,7 +160,7 @@ def test_5_single_rate_equivalent():
 def test_6_method_equivalence_random_systems():
     with verdict(6, "closed form vs truncated on random systems"):
         rng = np.random.default_rng(20210831)
-        warmup = random_system(rng, n=10)  # untimed: loads scipy.sparse for the stage loop
+        warmup = random_system(rng, n=10)  # untimed: a first call's one-time set-up
         propagate_closed_form(warmup)
         propagate_truncated(warmup, tol=1e-12, maxstages=10000)
         for trial in range(100):

@@ -1,7 +1,10 @@
 import csv
 import json
+import re
+import shutil
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -330,8 +333,8 @@ def test_audit_records_the_solve(demo_manifest, tmp_path):
     assert json.loads((closed / "audit.json").read_text())["truncation"] is None
     audit = json.loads((truncated / "audit.json").read_text())
     assert audit["solve"] == {"condition": None, "residual": None}
-    # the demo converges long before the first block checkpoint
-    assert audit["truncation"] == {"block": 1, "from_stage": 0}
+    # the demo converges long before the first checkpoint, on dense stages
+    assert audit["truncation"] == {"block": 1, "from_stage": 0, "sparse_from": None}
 
 
 def test_compute_methods_agree(demo_manifest, tmp_path):
@@ -531,17 +534,26 @@ def test_closed_form_on_singular_bundle_fails(tmp_path, accounts_factory, capsys
     assert not list((tmp_path / "run").rglob("*"))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_diverging_series_fails_and_writes_nothing(tmp_path, accounts_factory, capsys):
     manifest = diverging_bundle(tmp_path, accounts_factory)
     out = tmp_path / "run"
-    rc = main([
-        "compute", "--manifest", str(manifest), "--method", "truncated", "--tol", "1e-12",
-        "--maxstages", "5000", "--allow-residual", "--threshold", "0", "--out", str(out),
-    ])
+    truncated = ["compute", "--manifest", str(manifest), "--method", "truncated", "--tol", "1e-12",
+                 "--allow-residual", "--threshold", "0", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*truncated, "--maxstages", "5000"])
     assert rc == 1
-    assert "the stage series diverges" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the mass overflows by stage ~1,750 and the next checkpoint stops the loop
+    stages = re.search(r"the stage series diverges: the tax mass overflowed in (\d+) stages", err)
+    assert stages and int(stages[1]) <= 2048, err
+    # numpy warns of no overflow on the way
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+    # stopped while its mass is still finite, the same series writes its outputs
+    assert main([*truncated, "--maxstages", "1000"]) == 0
+    assert json.loads((out / "audit.json").read_text())["converged"] is False
+    shutil.rmtree(out)
     # the closed form on the same bundle is finite, and strict JSON parsers accept it
     assert main(["compute", "--manifest", str(manifest), "--threshold", "0", "--out", str(out)]) == 0
     for name in ("result.json", "audit.json", "system_digest.json"):
@@ -781,9 +793,9 @@ def test_importing_cli_loads_no_scipy():
 
 
 @pytest.mark.parametrize("truncated", [False, True], ids=["closed-form", "truncated"])
-def test_compute_loads_scipy_only_for_the_truncated_loop(demo_manifest, tmp_path, truncated):
-    # the closed form solves on numpy.linalg; the stage loop needs scipy.sparse,
-    # and neither method pays for importing scipy.linalg
+def test_compute_loads_no_scipy(demo_manifest, tmp_path, truncated):
+    # the closed form solves on numpy.linalg, and the stage loop runs dense stages
+    # unless its size model says CSR repays importing scipy.sparse
     method = ["--method", "truncated", "--tol", "1e-12", "--maxstages", "10000"] if truncated else []
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -795,12 +807,7 @@ def test_compute_loads_scipy_only_for_the_truncated_loop(demo_manifest, tmp_path
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    modules = json.loads(proc.stdout.splitlines()[-1])
-    if truncated:
-        assert "scipy.sparse" in modules
-        assert not [m for m in modules if m == "scipy.linalg" or m.startswith("scipy.linalg.")]
-    else:
-        assert modules == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_diff_loads_no_numpy(demo_manifest, tmp_path):
