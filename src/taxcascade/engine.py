@@ -12,8 +12,7 @@ First-stage tax destined to intermediate use is a cost of the purchasing
 activities and is passed on stage by stage through those supply shares until
 it reaches final demand.  Two routes compute the limit: a closed-form linear
 solve and an explicit truncated stage loop; they must agree and are
-cross-checked in the test suite.  The stage loop alone may import scipy.sparse,
-where its size model says CSR stages repay the import.
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -36,20 +35,23 @@ TRUNCATION_TOL = 1e-12
 #: The truncated loop considers jumping ahead at these stage counts: the first
 #: checkpoint, then each doubling of it.
 BLOCK_CHECKPOINT = 64
+#: The truncated loop builds the block that pays back if the run lasts this
+#: many times as many stages more as it has run.  Guessing long builds a deep
+#: run's last block sooner, at the price of products that a run stopping soon
+#: after a checkpoint does not repay.
+LOOKAHEAD = 8
 #: Largest block, in stages, that the truncated loop jumps at once.  An
 #: uncapped block outgrows the work left, and replaying the block the stopping
 #: test falls in then costs more than the jumps saved.
 MAX_BLOCK = 256
 #: Cost model of the truncated loop in ns, fitted to one BLAS thread of numpy's
-#: OpenBLAS on a 2-core x86-64 host.  Timed in the loop, at n = 500 (13.9k
-#: shares) a dense stage took 59-94 us, a CSR stage 43-48 us, a dense matvec
-#: 59-65 us and a dense product 5.0-6.8 ms; at n = 2000 (125k-201k shares)
-#: 1.5-2.0 ms, 0.13-0.23 ms, 1.7 ms and 0.34 s.  Only the sizes enter it, never
-#: a clock, so the same input always takes the same schedule and bytes.
+#: OpenBLAS on a 2-core x86-64 host.  Timed in the loop, at n = 500 a stage
+#: took 59-94 us, a matvec 59-65 us and a product 5.0-6.8 ms; at n = 2000
+#: 1.5-2.0 ms, 1.7 ms and 0.34 s.  Only n enters it, never a clock, so the same
+#: input always takes the same schedule and gives the same bytes.
 STAGE_NS = 15e3  # Python overhead of one stage
 MATVEC_NS = 0.35  # times n^2: one dense matrix-vector product
 PRODUCT_NS = 0.04  # times n^3: one dense matrix product
-IMPORT_NS = 2e8  # importing scipy.sparse in a fresh process: 0.16-0.25 s
 #: Relative tolerance for the conservation identity
 #: total final incidence == total statutory tax.
 CONSERVATION_RTOL = 1e-9
@@ -153,12 +155,10 @@ def build_system(
 @dataclass(frozen=True)
 class Truncation:
     """How the truncated loop ran: in blocks of ``block`` stages from stage
-    ``from_stage`` on, ``block`` 1 and ``from_stage`` 0 when it built none; its
-    stages ran on CSR from stage ``sparse_from`` on, ``None`` when they never did."""
+    ``from_stage`` on; ``block`` is 1 and ``from_stage`` 0 when it built none."""
 
     block: int
     from_stage: int
-    sparse_from: int | None
 
 
 @dataclass(frozen=True)
@@ -299,34 +299,26 @@ def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
     )
 
 
-def _plan(
-    n: int, nnz: int, stages: int, block: int = 1, sparse: bool = False, top: int = MAX_BLOCK
-) -> tuple[bool, int]:
-    """The stage kernel (sparse or dense) and the block, a power of two from
-    ``block`` to ``top``, that finish ``stages`` more stages at the least modelled
-    cost.  Once ``sparse``, the kernel stays sparse, and a block never shrinks.
+def _block_to_build(n: int, stages: int, built: int = 1) -> int:
+    """The block, a power of two from ``built`` to :data:`MAX_BLOCK`, that finishes
+    ``stages`` more stages at the least modelled cost; ``built`` if none pays back.
 
-    A dense stage costs ``STAGE_NS + MATVEC_NS n^2``, a sparse one ``STAGE_NS +
-    nnz`` (1 ns per stored share) plus :data:`IMPORT_NS` if not sparse yet.  Each doubling
-    of a block costs two dense products (one from a single stage), each jump two
-    dense matvecs, and the block the stopping test falls in is replayed stage by
-    stage."""
+    A stage costs ``STAGE_NS + MATVEC_NS n^2``.  Each doubling of a block costs two
+    dense products (one from a single stage), each jump two dense matvecs, and the
+    block the stopping test falls in is replayed stage by stage."""
+    stage = STAGE_NS + MATVEC_NS * n**2
     product = PRODUCT_NS * n**3
     jump = STAGE_NS + 2 * MATVEC_NS * n**2
 
-    def cost(plan: tuple[bool, int]) -> float:
-        to_sparse, size = plan
-        stage = STAGE_NS + (nnz if to_sparse else MATVEC_NS * n**2)
-        switch = IMPORT_NS if to_sparse and not sparse else 0.0
-        if size == 1:
-            return switch + stages * stage
-        doublings = size.bit_length() - block.bit_length()
-        products = 2 * doublings - (block == 1)
-        return switch + products * product + -(-stages // size) * jump + size * stage
+    def cost(block: int) -> float:
+        if block == 1:
+            return stages * stage
+        doublings = block.bit_length() - built.bit_length()
+        products = 2 * doublings - (built == 1)
+        return products * product + -(-stages // block) * jump + block * stage
 
-    kernels = (True,) if sparse else (False, True)
-    blocks = [block << k for k in range((top // block).bit_length())]
-    return min([(kernel, size) for kernel in kernels for size in blocks], key=cost)
+    blocks = [built << k for k in range((MAX_BLOCK // built).bit_length())]
+    return min(blocks, key=cost)
 
 
 def propagate_truncated(
@@ -349,20 +341,19 @@ def propagate_truncated(
     ``final_shares`` once, after the loop.  A deep series jumps ahead in blocks
     of k stages: P = I + S + ... + S^(k-1) and Q = S^k, built by repeated
     squaring, give the block's sum P m and its end Q m in two dense matvecs.
-    At stage :data:`BLOCK_CHECKPOINT` and each doubling of it, :func:`_plan`
-    picks the stage kernel and the block (a power of two up to
-    :data:`MAX_BLOCK`) that pay back if the run lasts as many more stages as it
-    has run; the model depends on the sizes only, so the schedule is
-    deterministic.  Where CSR stages repay importing scipy.sparse, the loop
-    switches S to CSR, once and for good.  Blocks run only where no row of the
-    shares sums to more than 1 in absolute value, so the circulating mass never
-    rises: no stage inside a block can pass the stopping test unless its end
-    does.  When a block's end would pass, the loop replays that block stage by
-    stage, so ``stages`` is the first passing stage, as in the single-stage
-    loop, and no block runs past ``maxstages``.  Summing in blocks or on CSR
-    moves the cells in their last digits only.  ``truncation`` records the
-    block, the stage it was built at and the stage of the switch to CSR.  A
-    series that diverges until the mass overflows raises ValueError at the next
+    At stage :data:`BLOCK_CHECKPOINT` and each doubling of it, the loop builds
+    the block (a power of two up to :data:`MAX_BLOCK`) that the cost model
+    says pays back if the run lasts :data:`LOOKAHEAD` times as many more
+    stages as it has run; the model depends on n only, so the schedule is
+    deterministic.  Blocks run
+    only where no row of the shares sums to more than 1 in absolute value,
+    so the circulating mass never rises: no stage inside a block can pass the
+    stopping test unless its end does.  When a block's end would pass, the
+    loop replays that block stage by stage, so ``stages`` is the first passing
+    stage, as in the single-stage loop, and no block runs past ``maxstages``.
+    Summing in blocks moves the cells in their last digits only.
+    ``truncation`` records the block and the stage it was built at.  A series
+    that diverges until the mass overflows raises ValueError at the next
     checkpoint.
     """
     if maxstages < 1:
@@ -370,16 +361,15 @@ def propagate_truncated(
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     n = system.n
-    step = np.ascontiguousarray(system.intermediate_shares.T)  # S, dense until a switch to CSR
-    nnz = int(np.count_nonzero(step))
-    row_sums = np.abs(system.intermediate_shares).sum(axis=1)
-    top = MAX_BLOCK if row_sums.max(initial=0.0) <= 1.0 else 1  # the largest block that may run
+    shares_t = np.ascontiguousarray(system.intermediate_shares.T)
+    # blocks may run: no row sum above 1
+    contracting = np.abs(system.intermediate_shares).sum(axis=1).max(initial=0.0) <= 1.0
     threshold = tol * float(np.abs(system.intermediate_tax).sum())
     mass = system.intermediate_tax
     cumulative = np.zeros(n)
     stages = 0
     converged = False
-    block, from_stage, sparse_from, checkpoint = 1, 0, None, BLOCK_CHECKPOINT
+    block, from_stage, checkpoint = 1, 0, BLOCK_CHECKPOINT
     total = work = ahead = None  # P, a product buffer, Q
     # an overflowing series is caught at a checkpoint, without a warning per stage
     with np.errstate(over="ignore", invalid="ignore"):
@@ -399,7 +389,7 @@ def propagate_truncated(
                     count = block
             for _ in range(count):
                 cumulative += mass
-                mass = step @ mass
+                mass = shares_t @ mass
                 stages += 1
                 if float(np.abs(mass).sum()) <= threshold:
                     converged = True
@@ -410,14 +400,8 @@ def propagate_truncated(
                 break
             while checkpoint <= stages:
                 checkpoint *= 2
-            sparse, target = _plan(
-                n, nnz, min(stages, maxstages - stages), block, sparse_from is not None, top
-            )
-            if sparse and sparse_from is None:
-                from scipy.sparse import csr_matrix
-
-                step, sparse_from = csr_matrix(step), stages
-            if target == block:
+            target = _block_to_build(n, min(LOOKAHEAD * stages, maxstages - stages), block)
+            if target == block or not contracting:
                 continue
             if block == 1:
                 shares = system.intermediate_shares.T
@@ -433,7 +417,7 @@ def propagate_truncated(
                 ahead, work = work, ahead
                 block *= 2
             from_stage = stages
-        del step, total, work, ahead
+        del shares_t, total, work, ahead
         series_residual = float(mass.sum())
     # a non-finite mass stays in the running sum, so one test after the loop finds it
     if not (np.isfinite(cumulative).all() and math.isfinite(series_residual)):
@@ -445,7 +429,7 @@ def propagate_truncated(
         stages=stages,
         series_residual=series_residual,
         converged=converged,
-        truncation=Truncation(block=block, from_stage=from_stage, sparse_from=sparse_from),
+        truncation=Truncation(block=block, from_stage=from_stage),
     )
 
 

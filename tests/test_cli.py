@@ -333,8 +333,8 @@ def test_audit_records_the_solve(demo_manifest, tmp_path):
     assert json.loads((closed / "audit.json").read_text())["truncation"] is None
     audit = json.loads((truncated / "audit.json").read_text())
     assert audit["solve"] == {"condition": None, "residual": None}
-    # the demo converges long before the first checkpoint, on dense stages
-    assert audit["truncation"] == {"block": 1, "from_stage": 0, "sparse_from": None}
+    # the demo converges long before the first block checkpoint
+    assert audit["truncation"] == {"block": 1, "from_stage": 0}
 
 
 def test_compute_methods_agree(demo_manifest, tmp_path):
@@ -794,8 +794,7 @@ def test_importing_cli_loads_no_scipy():
 
 @pytest.mark.parametrize("truncated", [False, True], ids=["closed-form", "truncated"])
 def test_compute_loads_no_scipy(demo_manifest, tmp_path, truncated):
-    # the closed form solves on numpy.linalg, and the stage loop runs dense stages
-    # unless its size model says CSR repays importing scipy.sparse
+    # the closed form solves on numpy.linalg, and the stage loop on dense matvecs
     method = ["--method", "truncated", "--tol", "1e-12", "--maxstages", "10000"] if truncated else []
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -20,7 +20,7 @@ from taxcascade import (
     save_bundle,
 )
 
-from taxcascade.engine import MAX_BLOCK, _plan, with_totals
+from taxcascade.engine import BLOCK_CHECKPOINT, LOOKAHEAD, MAX_BLOCK, _block_to_build, with_totals
 from taxcascade.tables import COMPONENT_ORDER, N_COMPONENTS, incidence_cells, rate_cells
 
 from oracles import make_activities, random_accounts, random_system, stagewise_final_incidence
@@ -352,59 +352,27 @@ def test_truncated_row_sum_above_one_takes_no_block():
     )
     result = propagate_truncated(system, tol=1e-12, maxstages=100_000)
     expected, mass, stages = single_stage_loop(system, tol=1e-12, maxstages=100_000)
-    assert result.truncation == Truncation(block=1, from_stage=0, sparse_from=None)
+    assert result.truncation == Truncation(block=1, from_stage=0)
     assert result.converged and result.stages == stages > 1000
     npt.assert_array_equal(result.subsequent_stage, expected)
     assert result.series_residual == float(mass.sum())
 
 
-def test_truncated_switches_to_csr_where_it_repays_the_import():
-    # 1000 activities with at most 4 buyers each: from stage 1024 on a CSR stage
-    # saves more than importing scipy.sparse costs, and no block pays back first
-    rng = np.random.default_rng(5)
-    n = 1000
-    shares = np.zeros((n, n))
-    sellers = np.repeat(np.arange(n), 4)
-    shares[sellers, rng.integers(0, n, sellers.size)] = rng.uniform(0.1, 1.0, sellers.size)
-    shares *= 0.98 / shares.sum(axis=1, keepdims=True)
-    final_shares = np.zeros((n, 6))
-    final_shares[:, 4] = 0.02
-    system = CoefficientSystem(
-        activities=make_activities(n),
-        intermediate_shares=shares,
-        final_shares=final_shares,
-        intermediate_tax=rng.uniform(0.0, 100.0, n),
-        final_tax=np.zeros((n, 6)),
-    )
-    result = propagate_truncated(system, tol=1e-12, maxstages=100_000)
-    expected, mass, stages = single_stage_loop(system, tol=1e-12, maxstages=100_000)
-    assert result.truncation == Truncation(block=1, from_stage=0, sparse_from=1024)
-    assert result.converged and result.stages == stages > 1024
-    npt.assert_allclose(result.subsequent_stage, expected, rtol=1e-13, atol=0)
-    assert result.series_residual == pytest.approx(mass.sum(), rel=1e-11)
-
-    again = propagate_truncated(system, tol=1e-12, maxstages=100_000)
-    assert again.truncation == result.truncation and again.stages == result.stages
-    npt.assert_array_equal(again.subsequent_stage, result.subsequent_stage)
-    assert again.series_residual == result.series_residual
-
-
 def test_block_cost_gate():
-    # the deep chain at n = 500 stays dense, and pays back a block from stage 512 on
-    assert _plan(500, 14_000, 256) == (False, 1)
-    assert _plan(500, 14_000, 512) == (False, 8)
-    assert _plan(500, 14_000, 1 << 20) == (False, MAX_BLOCK)
-    # a built block only grows, and no block is built where none may run
-    assert _plan(500, 14_000, 64, block=32) == (False, 32)
-    assert _plan(500, 14_000, 1 << 20, top=1)[1] == 1
-    # at n = 2000 sparse stages repay importing scipy from stage 256 on, and stay
-    assert _plan(2000, 200_000, 128) == (False, 1)
-    assert _plan(2000, 200_000, 256) == (True, 1)
-    assert _plan(2000, 200_000, 64, sparse=True) == (True, 1)
-    # at n <= 500 a dense stage costs too little for the import to pay back
-    for n in (2, 67, 500):
-        for nnz in (0, n * n):
-            assert not any(_plan(n, nnz, 1 << k)[0] for k in range(6, 21)), (n, nnz)
+    # at n = 500 a block pays back over 512 stages ahead, not over 256
+    assert _block_to_build(500, 256) == 1
+    assert _block_to_build(500, 512) == 8
+    assert _block_to_build(500, 1 << 20) == MAX_BLOCK
+    # a built block only grows
+    assert _block_to_build(500, 64, built=32) == 32
+    # at n = 2000 a dense product costs as much as ~230 stages
+    assert _block_to_build(2000, 1024) == 1
+    assert _block_to_build(2000, 2048) > 1
+    # the loop plans for LOOKAHEAD times the stages run: at n = 500 its first
+    # checkpoint builds a block, at n = 2000 the third
+    assert _block_to_build(500, LOOKAHEAD * BLOCK_CHECKPOINT) == 8
+    assert _block_to_build(2000, LOOKAHEAD * BLOCK_CHECKPOINT * 2) == 1
+    assert _block_to_build(2000, LOOKAHEAD * BLOCK_CHECKPOINT * 4) == 8
 
 
 def test_truncated_single_stage_residual():
