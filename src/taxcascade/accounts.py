@@ -9,6 +9,8 @@ Provides:
       order used by every matrix in the package (defined in ``tables``).
     - Activity, BundleMetadata, TaxDestinationTable, IOAccounts: value types.
     - load_bundle / save_bundle: manifest-driven ingestion and serialization.
+    - read_table: the one reader of delimited text, bundle tables and
+      ``--scenario`` files alike; a rejected file is named as ``file:line``.
     - validate: diagnostic checks that never raise, as a ValidationReport.
 """
 
@@ -19,6 +21,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,10 @@ from .tables import COMPONENT_ORDER, N_COMPONENTS, DemandComponent
 # currency millions; this absorbs rounding while still catching structural
 # errors.
 BALANCE_RTOL = 1e-6
+
+#: Each validation check words at most this many failing cells; the rest are
+#: counted in one closing line, so a report stays bounded at any size.
+MAX_LISTED_FAILURES = 10
 
 
 class BundleError(ValueError):
@@ -207,7 +214,10 @@ class CheckResult:
     name: str
     passed: bool
     residual: float = 0.0  # worst offending magnitude, 0 when clean
-    failures: tuple[str, ...] = ()  # human-readable rows/cells that failed
+    # human-readable rows/cells that failed: the first MAX_LISTED_FAILURES,
+    # then "... and k more" if there are more
+    failures: tuple[str, ...] = ()
+    count: int = 0  # rows/cells that failed, all of them
 
 
 @dataclass(frozen=True)
@@ -230,33 +240,41 @@ class ValidationReport:
                 "passed": c.passed,
                 "residual": c.residual,
                 "failures": list(c.failures),
+                "count": c.count,
             }
             for c in self.checks
         ]
 
 
+def _result(name: str, listed: list[str], count: int, residual: float) -> CheckResult:
+    """A check with ``count`` failures, of which ``listed`` are worded."""
+    more = [f"... and {count - len(listed)} more"] if count > len(listed) else []
+    return CheckResult(
+        name, passed=not count, residual=residual, failures=(*listed, *more), count=count
+    )
+
+
 def _check(name: str, bad: np.ndarray, residual: float, describe) -> CheckResult:
-    """A check failing on the cells set in ``bad``; ``describe(*index)`` words each one."""
-    failures = tuple(describe(*index) for index in zip(*np.nonzero(bad)))
-    return CheckResult(name, passed=not failures, residual=residual, failures=failures)
+    """A check failing on the cells set in ``bad``; ``describe(*index)`` words
+    each of the first :data:`MAX_LISTED_FAILURES`."""
+    listed = [describe(*index) for index in islice(zip(*np.nonzero(bad)), MAX_LISTED_FAILURES)]
+    return _result(name, listed, int(np.count_nonzero(bad)), residual)
 
 
 def _finite_cells(accounts: IOAccounts) -> CheckResult:
     """Every cell of every table is finite; residual counts the cells that are not."""
     codes = accounts.codes
-    failures: list[str] = []
+    listed: list[str] = []
+    count = 0
     for table, columns, values in _layout(codes):
         matrix = values(accounts)
-        failures += [
+        bad = ~np.isfinite(matrix)
+        listed += [
             f"{table}: {codes[i]} / {columns[j]}: {matrix[i, j]}"
-            for i, j in zip(*np.nonzero(~np.isfinite(matrix)))
+            for i, j in islice(zip(*np.nonzero(bad)), MAX_LISTED_FAILURES - len(listed))
         ]
-    return CheckResult(
-        "finite_cells",
-        passed=not failures,
-        residual=float(len(failures)),
-        failures=tuple(failures),
-    )
+        count += int(np.count_nonzero(bad))
+    return _result("finite_cells", listed, count, float(count))
 
 
 def validate(accounts: IOAccounts) -> ValidationReport:
@@ -380,18 +398,9 @@ def _spans_lines(line: str, delimiter: str) -> bool:
     return '"' in line and len(_parse([line, line], delimiter, dtype=object)) == 1
 
 
-def parse_number(cell: str) -> float:
-    """One cell read as a table's cells are; ValueError unless it holds one number."""
-    good = cell.strip() and not _spans_lines(cell, ",")
-    values = _parse([cell], ",") if good else None
-    if values is None or values.shape != (1, 1):
-        raise ValueError(f"could not convert {cell!r} to a number")
-    return float(values[0, 0])
-
-
-def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
-    """Read one table: its value-column names, its row codes in file order and
-    the matrix of its values, one row per code.
+def read_table(path: Path, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
+    """Read one table: its header, code column first, its row codes in file
+    order and the matrix of its values, one row per code.
 
     numpy's C parser reads the numbers, with no Python object per cell.  Lines
     that are blank, or hold delimiters and spaces only, are skipped.  Where
@@ -419,7 +428,7 @@ def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], list[str], n
         raise BundleError(f"{path}:{numbers[0]}: {_OPEN_QUOTE}")
     header = [cell.strip() for cell in _parse(kept[:1], delimiter, dtype=object)[0]]
     if len(kept) == 1:
-        return header[1:], [], np.empty((0, len(header) - 1))
+        return header, [], np.empty((0, len(header) - 1))
     codes: list[str] = []
     # the code column: keep each code, and give numpy a number for it
     keep_code = {0: lambda cell: codes.append(cell.strip()) or 0.0}
@@ -434,7 +443,7 @@ def _read_delimited(path: Path, delimiter: str) -> tuple[list[str], list[str], n
         and len(set(codes)) == len(codes)
         and not _spans_lines(kept[-1], delimiter)
     ):
-        return header[1:], codes, values[:, 1:]
+        return header, codes, values[:, 1:]
     # the table is rejected: find its first defect, one line at a time
     seen: set[str] = set()
     for k, line in zip(numbers[1:], kept[1:]):
@@ -574,7 +583,8 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
         path = manifest_path.parent / _expect(
             tables[name], str, f"{manifest_path}: tables[{name!r}]"
         )
-        header, row_codes, values = _read_delimited(path, delimiter)
+        header, row_codes, values = read_table(path, delimiter)
+        header = header[1:]
         if name not in ("supply", "marginshares"):
             perm = _column_permutation(name, path, header, wanted)
         elif len(header) == 1:  # one-column tables accept any header name
@@ -619,10 +629,8 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
         if not report.ok:
             lines = []
             for result in report.failed():
-                lines.append(f"{result.name}: {len(result.failures) or 1} failure(s)")
-                lines.extend(f"  {f}" for f in result.failures[:10])
-                if len(result.failures) > 10:
-                    lines.append(f"  ... {len(result.failures) - 10} more")
+                lines.append(f"{result.name}: {result.count} failure(s)")
+                lines.extend(f"  {f}" for f in result.failures)
             raise BundleError(
                 f"bundle at {manifest_path} failed validation:\n" + "\n".join(lines)
             )

@@ -8,7 +8,6 @@ command on the same bundle reproduces every output file byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -35,7 +34,7 @@ if TYPE_CHECKING:
 #: through these globals: ``bench/run.py --trace 1`` wraps every name it lists
 #: (``save_bundle`` too, which nothing here calls) by setting it on this module.
 _PIPELINE = {
-    "accounts": ("BundleError", "load_bundle", "parse_number", "save_bundle", "validate"),
+    "accounts": ("BundleError", "load_bundle", "read_table", "save_bundle", "validate"),
     "engine": (
         "SingularSystemError", "apply_scenario", "build_system", "propagate_closed_form",
         "propagate_truncated",
@@ -170,8 +169,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 1
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
-        print(f"{check.name}: {status}" + ("" if check.passed else f" ({len(check.failures)} failure(s))"))
-        for failure in check.failures[:5]:
+        print(f"{check.name}: {status}" + ("" if check.passed else f" ({check.count} failure(s))"))
+        for failure in check.failures:
             print(f"  {failure}")
     print(f"wrote {path}")
     return 0 if report.ok else 1
@@ -183,35 +182,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
+    """Scale factors by activity from a ``code,scale`` file, read as bundle tables are."""
     import numpy as np
 
-    scale = np.ones(accounts.n)
+    header, codes, values = read_table(path, ",")
+    if [name.lower() for name in header] != ["code", "scale"]:
+        raise ValueError(f"{path}: expected the header code,scale, got {header}")
     index = {code: i for i, code in enumerate(accounts.codes)}
-    seen = set()
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        rows = [
-            (lineno, row)
-            for lineno, row in enumerate(csv.reader(fh), start=1)
-            if any(cell.strip() for cell in row)
-        ]
-    if not rows:
-        raise ValueError(f"{path}: empty scenario file")
-    lineno, header = rows[0]
-    if [cell.strip().lower() for cell in header] != ["code", "scale"]:
-        raise ValueError(f"{path}:{lineno}: expected header code,scale")
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: expected code,scale, got {row}")
-        code = row[0].strip()
-        if code not in index:
-            raise ValueError(f"{path}:{lineno}: unknown activity code {code!r}")
-        if code in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate activity code {code!r}")
-        seen.add(code)
-        try:
-            scale[index[code]] = parse_number(row[1])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: scale {row[1]!r} is not a number") from None
+    unknown = [code for code in codes if code not in index]
+    if unknown:
+        raise ValueError(f"{path}: unknown activity codes: {', '.join(unknown)}")
+    scale = np.ones(accounts.n)
+    scale[[index[code] for code in codes]] = values[:, 0]
     return scale
 
 

@@ -98,6 +98,12 @@ class CoefficientSystem:
         table = first_stage_table(self.intermediate_tax, self.final_tax)
         return float(table[-1, STATUTORY])
 
+    @cached_property
+    def share_row_sums(self) -> np.ndarray:
+        """(n,) the intermediate plus final shares of each activity's supply:
+        about 1 where it has supply, 0 where it has none."""
+        return self.intermediate_shares.sum(axis=1) + self.final_shares.sum(axis=1)
+
 
 def build_system(
     accounts: IOAccounts, *, allow_unredistributed_margins: bool = False
@@ -121,9 +127,15 @@ def build_system(
         for table in (accounts.flows, accounts.finaldemand)
     )
     producing = supply[:, 0] > 0
+    system = CoefficientSystem(
+        activities=accounts.activities,
+        intermediate_shares=shares,
+        final_shares=final_shares,
+        intermediate_tax=accounts.taxdest.intermediate.sum(axis=1),
+        final_tax=accounts.taxdest.final.copy(),
+    )
 
-    rowsums = shares.sum(axis=1) + final_shares.sum(axis=1)
-    off = np.abs(rowsums[producing] - 1.0)
+    off = np.abs(system.share_row_sums[producing] - 1.0)
     if off.size and off.max() > ROW_SHARE_ATOL:
         warnings.warn(
             f"supply-share rows deviate from 1 by up to {off.max():.3e}; "
@@ -131,10 +143,7 @@ def build_system(
             stacklevel=2,
         )
 
-    intermediate_tax = accounts.taxdest.intermediate.sum(axis=1)
-    final_tax = accounts.taxdest.final.copy()
-
-    trapped = (~producing) & (intermediate_tax > 0)
+    trapped = (~producing) & (system.intermediate_tax > 0)
     if trapped.any():
         names = ", ".join(accounts.codes[i] for i in np.flatnonzero(trapped))
         warnings.warn(
@@ -143,13 +152,7 @@ def build_system(
             stacklevel=2,
         )
 
-    return CoefficientSystem(
-        activities=accounts.activities,
-        intermediate_shares=shares,
-        final_shares=final_shares,
-        intermediate_tax=intermediate_tax,
-        final_tax=final_tax,
-    )
+    return system
 
 
 @dataclass(frozen=True)

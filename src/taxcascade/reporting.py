@@ -112,7 +112,7 @@ def _array_digest(arr: np.ndarray) -> str:
 
 def write_system_digest(system: CoefficientSystem, path: str | Path) -> Path:
     """Checkable summary of a coefficient system: its share rows and checksums."""
-    rowsums = system.intermediate_shares.sum(axis=1) + system.final_shares.sum(axis=1)
+    rowsums = system.share_row_sums
     supplyless = [a.code for a, total in zip(system.activities, rowsums) if total == 0]
     digest = {
         "zero_share_rows": supplyless,

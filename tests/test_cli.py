@@ -21,6 +21,7 @@ from taxcascade import (
     redistribute_margins,
     save_bundle,
 )
+from taxcascade.accounts import MAX_LISTED_FAILURES, BundleError
 import taxcascade.cli as cli
 from taxcascade.cli import main
 
@@ -237,27 +238,42 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("code,scale\nfarm\n", "scenario.csv:2: expected code,scale"),
+        ("code,scale\nfarm\n", "scenario.csv:2: expected 2 columns, got 1"),
         # a decimal comma must not run as scale 0
-        ("code,scale\nmill,0,5\n", "scenario.csv:2: expected code,scale, got ['mill', '0', '5']"),
-        ("code,scale\nfarm,2\n\nmill,lots\n", "scenario.csv:4: scale 'lots' is not a number"),
+        ("code,scale\nmill,0,5\n", "scenario.csv:2: expected 2 columns, got 3"),
+        (
+            "code,scale\nfarm,2\n\nmill,lots\n",
+            "scenario.csv:4: could not convert 'lots' to a number in column 'scale'",
+        ),
         # float() reads both as numbers, numpy's parser (as for bundle cells) does not
-        ("code,scale\nmill,1_000\n", "scenario.csv:2: scale '1_000' is not a number"),
-        ("code,scale\nmill,\u0661\n", "scenario.csv:2: scale '\u0661' is not a number"),
+        (
+            "code,scale\nmill,1_000\n",
+            "scenario.csv:2: could not convert '1_000' to a number in column 'scale'",
+        ),
+        (
+            "code,scale\nmill,\u0661\n",
+            "scenario.csv:2: could not convert '\u0661' to a number in column 'scale'",
+        ),
         ("code,scale\nfarm,nan\n", "non-finite scenario scale for: farm"),
         ("code,scale\nmill,inf\n", "non-finite scenario scale for: mill"),
         ("code,scale\nfarm,2\nfarm,0\n", "scenario.csv:3: duplicate activity code 'farm'"),
         # without a header the first row would be dropped and farm keep its tax
-        ("\nfarm,0\nmill,0\n", "scenario.csv:2: expected header code,scale"),
+        ("\nfarm,0\nmill,0\n", "scenario.csv: expected the header code,scale, got ['farm', '0']"),
+        ('code,scale\n"mill,2\n', "scenario.csv:2: a quoted cell runs past the end of the line"),
+        ("code,scale\nghost,2\nmill,1\nspook,0\n", "scenario.csv: unknown activity codes: ghost, spook"),
+        (b"code,scale\nm\xfcll,2\n", "scenario.csv: not UTF-8 text ("),
     ],
     ids=[
         "short-row", "long-row", "not-a-number", "underscore", "arabic-indic-digit", "nan",
-        "inf", "duplicate", "no-header",
+        "inf", "duplicate", "no-header", "open-quote", "unknown-codes", "latin-1",
     ],
 )
 def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text, message):
     scenario = tmp_path / "scenario.csv"
-    scenario.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        scenario.write_bytes(text)
+    else:
+        scenario.write_text(text, encoding="utf-8")
     rc = main([
         "compute",
         "--manifest", str(demo_manifest),
@@ -268,6 +284,82 @@ def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_compute_rejects_missing_scenario_file(demo_manifest, tmp_path, capsys):
+    missing = tmp_path / "nowhere.csv"
+    assert main([
+        "compute", "--manifest", str(demo_manifest), "--scenario", str(missing),
+        "--out", str(tmp_path / "run"),
+    ]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, same_as",
+    [
+        # the header is matched with spaces and case aside
+        ("Code , Scale\nmill,2\n", "code,scale\nmill,2\n"),
+        # a quoted cell is one cell, as in a bundle table
+        ('code,scale\n"mill",2\n', "code,scale\nmill,2\n"),
+        # no row: every activity keeps scale 1.0, as with no scenario at all
+        ("code,scale\n", None),
+    ],
+    ids=["spaced-header", "quoted-code", "header-only"],
+)
+def test_scenario_files_read_as_bundle_tables(demo_manifest, tmp_path, text, same_as):
+    runs = []
+    for name, scenario in (("this", text), ("that", same_as)):
+        extra = []
+        if scenario is not None:
+            path = tmp_path / f"{name}.csv"
+            path.write_text(scenario, encoding="utf-8")
+            extra = ["--scenario", str(path)]
+        compute_demo(demo_manifest, tmp_path / name, *extra)
+        runs.append({
+            path.name: path.read_bytes()
+            for path in sorted((tmp_path / name).iterdir())
+            if path.name != "audit.json"  # it names the scenario file
+        })
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fill, failing", [
+    (-1.0, {"flow_signs": 40 * 40, "supply_signs": 40}),
+    # the finiteness check lists cells across all five tables under one cap
+    (np.nan, {"finite_cells": 40 * 40 + 40}),
+], ids=["negative", "nan"])
+def test_validation_lists_at_most_the_cap_then_counts(
+    tmp_path, capsys, accounts_factory, fill, failing
+):
+    n = 40
+    accounts = accounts_factory(flows=np.full((n, n), fill), finaldemand=np.zeros((n, 6)))
+    manifest = save_bundle(accounts, tmp_path / "bad")
+    assert main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "v")]) == 1
+    shown = capsys.readouterr().out.splitlines()
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    raised = str(excinfo.value).splitlines()
+
+    records = json.loads((tmp_path / "v" / "validation_report.json").read_text(encoding="utf-8"))
+    assert {r["check"]: r["count"] for r in records if not r["passed"]} == failing
+    for record in records:
+        listed = record["failures"]
+        if record["passed"]:
+            assert (record["count"], listed) == (0, [])
+            continue
+        count = record["count"]
+        assert len(listed) == MAX_LISTED_FAILURES + 1
+        assert listed[-1] == f"... and {count - MAX_LISTED_FAILURES} more"
+        # validate and load_bundle print the one listing, under the exact count
+        lines = [f"  {failure}" for failure in listed]
+        at = shown.index(f"{record['check']}: FAIL ({count} failure(s))")
+        assert shown[at + 1 : at + 2 + MAX_LISTED_FAILURES] == lines
+        at = raised.index(f"{record['check']}: {count} failure(s)")
+        assert raised[at + 1 : at + 2 + MAX_LISTED_FAILURES] == lines
+    # bounded: 1,640 failing cells take a few kilobytes
+    assert (tmp_path / "v" / "validation_report.json").stat().st_size < 4096
 
 
 @pytest.mark.parametrize("table, code, column, text", NON_FINITE_CELLS)
@@ -776,20 +868,6 @@ def test_module_entry_point(demo_manifest, tmp_path):
     )
     assert proc.returncode == 0
     assert "row_balance: ok" in proc.stdout
-
-
-def test_importing_cli_loads_no_scipy():
-    # validate, diff and truncated runs never touch scipy.linalg; each solver
-    # imports what it uses on its first call
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, taxcascade.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("truncated", [False, True], ids=["closed-form", "truncated"])
