@@ -19,7 +19,6 @@ _EXPORTS = {
         "Activity",
         "BALANCE_RTOL",
         "BundleError",
-        "BundleMetadata",
         "CheckResult",
         "IOAccounts",
         "TaxDestinationTable",

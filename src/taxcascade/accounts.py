@@ -7,8 +7,9 @@ accounting identities, and returns an immutable :class:`IOAccounts`.
 Provides:
     - DemandComponent: the six final-demand components, in canonical column
       order used by every matrix in the package (defined in ``tables``).
-    - Activity, BundleMetadata, TaxDestinationTable, IOAccounts: value types.
-    - load_bundle / save_bundle: manifest-driven ingestion and serialization.
+    - Activity, TaxDestinationTable, IOAccounts: value types.
+    - load_bundle / save_bundle: manifest-driven ingestion and serialization of
+      the five tables; no other manifest key (``metadata`` among them) is read.
     - read_table: the one reader of delimited text, bundle tables and
       ``--scenario`` files alike; a rejected file is named as ``file:line``.
     - validate: diagnostic checks that never raise, as a ValidationReport.
@@ -20,23 +21,19 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
-from itertools import islice
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .tables import COMPONENT_ORDER, N_COMPONENTS, DemandComponent
+from .tables import COMPONENT_ORDER, N_COMPONENTS, DemandComponent, listing
 
 # Relative tolerance for the row balance supply = flows + final demand and for
 # statutory-vs-destination consistency.  Published tables are rounded to
 # currency millions; this absorbs rounding while still catching structural
 # errors.
 BALANCE_RTOL = 1e-6
-
-#: Each validation check words at most this many failing cells; the rest are
-#: counted in one closing line, so a report stays bounded at any size.
-MAX_LISTED_FAILURES = 10
 
 
 class BundleError(ValueError):
@@ -68,46 +65,6 @@ class Activity:
     index: int
     code: str
     label: str = ""
-
-
-@dataclass(frozen=True)
-class BundleMetadata:
-    """Descriptive bundle metadata; not used in any computation."""
-
-    year: int | None = None
-    currency: str = ""
-    source: str = ""
-    # Optional per-tax revenue listing (name, amount), descriptive only.
-    tax_revenue: tuple[tuple[str, float], ...] = ()
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "BundleMetadata":
-        """Metadata from its JSON object; raise ValueError naming a malformed key."""
-        try:
-            revenue = tuple(
-                (str(name), float(amount)) for name, amount in data.get("tax_revenue", [])
-            )
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"tax_revenue must list [name, amount] pairs, got {data['tax_revenue']!r:.60}"
-            ) from None
-        year = data.get("year")
-        if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
-            raise ValueError(f"year must be an integer, got {year!r:.60}")
-        return cls(
-            year=year,
-            currency=str(data.get("currency", "")),
-            source=str(data.get("source", "")),
-            tax_revenue=revenue,
-        )
-
-    def to_mapping(self) -> dict:
-        return {
-            "year": self.year,
-            "currency": self.currency,
-            "source": self.source,
-            "tax_revenue": [[name, amount] for name, amount in self.tax_revenue],
-        }
 
 
 @dataclass(frozen=True)
@@ -164,7 +121,6 @@ class IOAccounts:
     supply: np.ndarray  # (n,)
     taxdest: TaxDestinationTable
     marginshares: np.ndarray  # (n,) in [0, 1]; > 0 marks a margin activity
-    metadata: BundleMetadata = field(default_factory=BundleMetadata)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "activities", tuple(self.activities))
@@ -174,8 +130,8 @@ class IOAccounts:
             raise ValueError("accounts need at least one activity")
         codes = [a.code for a in self.activities]
         if len(set(codes)) != n:
-            dupes = sorted({c for c in codes if codes.count(c) > 1})
-            raise ValueError(f"duplicate activity codes: {', '.join(dupes)}")
+            dupes = sorted(c for c, k in Counter(codes).items() if k > 1)
+            raise ValueError(f"duplicate activity codes: {', '.join(listing(dupes))}")
         if self.flows.shape != (n, n):
             raise ValueError(f"flows must be {n}x{n}, got {self.flows.shape}")
         if self.finaldemand.shape != (n, N_COMPONENTS):
@@ -246,35 +202,31 @@ class ValidationReport:
         ]
 
 
-def _result(name: str, listed: list[str], count: int, residual: float) -> CheckResult:
-    """A check with ``count`` failures, of which ``listed`` are worded."""
-    more = [f"... and {count - len(listed)} more"] if count > len(listed) else []
-    return CheckResult(
-        name, passed=not count, residual=residual, failures=(*listed, *more), count=count
-    )
+def _result(name: str, failures, count: int, residual: float) -> CheckResult:
+    """A check with ``count`` failures, worded by the lazy ``failures`` as far as listed."""
+    failures = tuple(listing(failures, count))
+    return CheckResult(name, passed=not count, residual=residual, failures=failures, count=count)
 
 
 def _check(name: str, bad: np.ndarray, residual: float, describe) -> CheckResult:
     """A check failing on the cells set in ``bad``; ``describe(*index)`` words
-    each of the first :data:`MAX_LISTED_FAILURES`."""
-    listed = [describe(*index) for index in islice(zip(*np.nonzero(bad)), MAX_LISTED_FAILURES)]
-    return _result(name, listed, int(np.count_nonzero(bad)), residual)
+    each of the first :data:`~taxcascade.tables.MAX_LISTED_FAILURES`."""
+    failures = (describe(*index) for index in zip(*np.nonzero(bad)))
+    return _result(name, failures, int(np.count_nonzero(bad)), residual)
 
 
 def _finite_cells(accounts: IOAccounts) -> CheckResult:
     """Every cell of every table is finite; residual counts the cells that are not."""
     codes = accounts.codes
-    listed: list[str] = []
-    count = 0
-    for table, columns, values in _layout(codes):
-        matrix = values(accounts)
-        bad = ~np.isfinite(matrix)
-        listed += [
-            f"{table}: {codes[i]} / {columns[j]}: {matrix[i, j]}"
-            for i, j in islice(zip(*np.nonzero(bad)), MAX_LISTED_FAILURES - len(listed))
-        ]
-        count += int(np.count_nonzero(bad))
-    return _result("finite_cells", listed, count, float(count))
+    tables = [(table, columns, values(accounts)) for table, columns, values in _layout(codes)]
+    bad = [~np.isfinite(matrix) for *_, matrix in tables]
+    failures = (
+        f"{table}: {codes[i]} / {columns[j]}: {matrix[i, j]}"
+        for (table, columns, matrix), cells in zip(tables, bad)
+        for i, j in zip(*np.nonzero(cells))
+    )
+    count = sum(int(np.count_nonzero(cells)) for cells in bad)
+    return _result("finite_cells", failures, count, float(count))
 
 
 def validate(accounts: IOAccounts) -> ValidationReport:
@@ -471,19 +423,25 @@ def _row_order(path: Path, row_codes: list[str], codes: tuple[str, ...]) -> list
     position = {code: i for i, code in enumerate(row_codes)}
     missing = [c for c in codes if c not in position]
     if missing:
-        raise BundleError(f"{path}: missing rows for activities: {', '.join(missing)}")
+        raise BundleError(f"{path}: missing rows for activities: {', '.join(listing(missing))}")
     known = set(codes)
     extra = [c for c in row_codes if c not in known]
     if extra:
-        raise BundleError(f"{path}: unknown activity rows: {', '.join(extra)}")
+        raise BundleError(f"{path}: unknown activity rows: {', '.join(listing(extra))}")
     return [position[c] for c in codes]
 
 
 def _column_permutation(table: str, path: Path, header: list[str], wanted: list[str]) -> list[int]:
-    if sorted(header) != sorted(wanted):
-        raise BundleError(
-            f"{path}: {table} columns {header} do not match expected {wanted}"
-        )
+    """Positions in ``header`` of each of ``wanted``; a mismatch names the missing
+    and the unexpected (or repeated) columns."""
+    have, want = Counter(header), Counter(wanted)
+    if have != want:
+        problems = [
+            f"{what} {', '.join(listing(list(names.elements())))}"
+            for what, names in (("missing", want - have), ("unexpected", have - want))
+            if names
+        ]
+        raise BundleError(f"{path}: {table} columns do not match: {'; '.join(problems)}")
     position = {name: i for i, name in enumerate(header)}
     return [position[name] for name in wanted]
 
@@ -498,16 +456,6 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-def _read_json(path: Path, what: str):
-    """The JSON value in ``path``, the bundle's ``what``."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise BundleError(f"{what} not found: {path}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise BundleError(f"{path}: invalid JSON ({exc})") from None
-
-
 def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     """Load and align a bundle; raise :class:`BundleError` on any defect.
 
@@ -515,15 +463,22 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     ``{code, label}`` objects, defining row order), ``components`` (the six
     component names in the order used by this bundle's files), ``tables``
     (mapping of table name to file path, relative to the manifest), and
-    optionally ``delimiter`` ("," default, or ";") and ``metadata`` (inline
-    object, or a path under ``tables``).
+    optionally ``delimiter`` ("," default, or ";").  Every ``tables`` entry
+    must be a path string, since the run record hashes each one, but only the
+    five tables are read; any other key, such as a descriptive ``metadata``
+    block, is not read.
 
     With ``check=False`` only structural alignment is enforced; accounting
     invariants are skipped so that diagnostic callers can obtain a report via
     :func:`validate` instead.
     """
     manifest_path = Path(manifest_path)
-    manifest = _read_json(manifest_path, "manifest")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise BundleError(f"manifest not found: {manifest_path}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise BundleError(f"{manifest_path}: invalid JSON ({exc})") from None
     _expect(manifest, dict, f"{manifest_path}: the manifest")
 
     for key in ("activities", "components", "tables"):
@@ -549,9 +504,9 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
             )
         activities.append(Activity(i, code, label))
     codes = tuple(a.code for a in activities)
-    if len(set(codes)) != len(codes):
-        dupes = sorted({c for c in codes if codes.count(c) > 1})
-        raise BundleError(f"{manifest_path}: duplicate activity codes: {', '.join(dupes)}")
+    dupes = sorted(code for code, k in Counter(codes).items() if k > 1)
+    if dupes:
+        raise BundleError(f"{manifest_path}: duplicate activity codes: {', '.join(listing(dupes))}")
     clashes = sorted(set(codes) & _RESERVED_HEADERS)
     if clashes:
         raise BundleError(
@@ -577,12 +532,12 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     missing = [name for name, _, _ in layout if name not in tables]
     if missing:
         raise BundleError(f"{manifest_path}: tables missing entries: {', '.join(missing)}")
+    for name, rel in tables.items():  # the run record hashes every entry
+        _expect(rel, str, f"{manifest_path}: tables[{name!r}]")
 
     aligned = {}
     for name, wanted, _ in layout:
-        path = manifest_path.parent / _expect(
-            tables[name], str, f"{manifest_path}: tables[{name!r}]"
-        )
+        path = manifest_path.parent / tables[name]
         header, row_codes, values = read_table(path, delimiter)
         header = header[1:]
         if name not in ("supply", "marginshares"):
@@ -596,19 +551,6 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
         # last digits.
         aligned[name] = values.T[np.ix_(perm, _row_order(path, row_codes, codes))].T
 
-    if "metadata" in tables:
-        meta_file = manifest_path.parent / _expect(
-            tables["metadata"], str, f"{manifest_path}: tables['metadata']"
-        )
-        meta_source = _read_json(meta_file, "metadata file")
-    else:
-        meta_file, meta_source = manifest_path, manifest.get("metadata", {})
-    meta_source = _expect(meta_source, dict, f"{meta_file}: metadata")
-    try:
-        metadata = BundleMetadata.from_mapping(meta_source)
-    except ValueError as exc:
-        raise BundleError(f"{meta_file}: metadata {exc}") from None
-
     try:
         accounts = IOAccounts(
             activities=tuple(activities),
@@ -619,7 +561,6 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
                 dest=aligned["taxdest"][:, 1:], statutory=aligned["taxdest"][:, 0]
             ),
             marginshares=aligned["marginshares"][:, 0],
-            metadata=metadata,
         )
     except ValueError as exc:
         raise BundleError(str(exc)) from None
@@ -681,7 +622,6 @@ def save_bundle(accounts: IOAccounts, directory: str | Path) -> Path:
         "components": [c.value for c in COMPONENT_ORDER],
         "delimiter": ",",
         "tables": tables,
-        "metadata": accounts.metadata.to_mapping(),
     }
     manifest_path = directory / "manifest.json"
     manifest_path.write_text(

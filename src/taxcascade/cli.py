@@ -19,6 +19,7 @@ from .tables import (
     DISPLAY_THRESHOLD,
     DemandComponent,
     diff_tables,
+    listing,
     read_result_json,
     write_rows,
 )
@@ -191,7 +192,7 @@ def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
     index = {code: i for i, code in enumerate(accounts.codes)}
     unknown = [code for code in codes if code not in index]
     if unknown:
-        raise ValueError(f"{path}: unknown activity codes: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown activity codes: {', '.join(listing(unknown))}")
     scale = np.ones(accounts.n)
     scale[[index[code] for code in codes]] = values[:, 0]
     return scale
@@ -232,7 +233,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
             result = propagate_closed_form(system)
         report = effective_rates(result, engine_input.finaldemand, threshold=args.threshold)
 
-        # Every check has passed; only now does anything reach --out.
+        # Every check has passed and every input file is hashed; only now does
+        # anything reach --out.
+        bundle = bundle_digests(manifest)
         out.mkdir(parents=True, exist_ok=True)
         written = []
         if adjustment is not None:
@@ -249,7 +252,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         written.append(write_result_json(record, out / "result.json"))
         outputs = [path.relative_to(out).as_posix() for path in written] + ["audit.json"]
         audit = audit_record(
-            result, report, adjustment, bundle=bundle_digests(manifest),
+            result, report, adjustment, bundle=bundle,
             manifest=str(args.manifest), scenario=args.scenario, tol=args.tol,
             maxstages=args.maxstages, threshold=args.threshold, outputs=outputs,
         )

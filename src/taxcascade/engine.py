@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .accounts import Activity, IOAccounts, TaxDestinationTable
-from .tables import N_COMPONENTS, totals
+from .tables import N_COMPONENTS, listing, totals
 
 #: Abort the closed form when the 1-norm condition number exceeds this.
 CONDITION_LIMIT = 1e12
@@ -145,7 +145,7 @@ def build_system(
 
     trapped = (~producing) & (system.intermediate_tax > 0)
     if trapped.any():
-        names = ", ".join(accounts.codes[i] for i in np.flatnonzero(trapped))
+        names = ", ".join(listing([accounts.codes[i] for i in np.flatnonzero(trapped)]))
         warnings.warn(
             f"tax on intermediate demand of zero-supply activities cannot be "
             f"propagated: {names}",
@@ -450,7 +450,7 @@ def apply_scenario(accounts: IOAccounts, scale) -> IOAccounts:
         )
     bad = ~(np.isfinite(scale) & (scale >= 0))
     if bad.any():
-        names = ", ".join(accounts.codes[i] for i in np.flatnonzero(bad))
+        names = ", ".join(listing([accounts.codes[i] for i in np.flatnonzero(bad)]))
         raise ValueError(f"negative or non-finite scenario scale for: {names}")
     dest = accounts.taxdest.dest * scale[:, None]
     return IOAccounts(
@@ -460,5 +460,4 @@ def apply_scenario(accounts: IOAccounts, scale) -> IOAccounts:
         supply=accounts.supply,
         taxdest=TaxDestinationTable(dest=dest, statutory=dest.sum(axis=1)),
         marginshares=accounts.marginshares,
-        metadata=accounts.metadata,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounts import IOAccounts, TaxDestinationTable
-from .tables import COMPONENT_ORDER, N_COMPONENTS
+from .tables import COMPONENT_ORDER, N_COMPONENTS, listing
 
 
 class MarginError(ValueError):
@@ -104,7 +104,7 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
 
     dead = margin & (accounts.supply == 0)
     if dead.any():
-        names = ", ".join(codes[i] for i in np.flatnonzero(dead))
+        names = ", ".join(listing([codes[i] for i in np.flatnonzero(dead)]))
         raise MarginError(f"margin share set on zero-supply activities: {names}")
 
     # supply_rows becomes the adjusted supply table.  Each table's transient in
@@ -119,7 +119,7 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     needs = (supply_pool != 0) | (tax_pool != 0)
     blocked = needs & (weight_base == 0)
     if blocked.any():
-        names = ", ".join(destinations[d] for d in np.flatnonzero(blocked))
+        names = ", ".join(listing([destinations[d] for d in np.flatnonzero(blocked)]))
         raise MarginError(
             f"margin supply or tax destined to columns with no non-margin supply: {names}"
         )
@@ -151,7 +151,6 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
             dest=tax_rows, statutory=tax_rows.sum(axis=1)
         ),
         marginshares=np.zeros(n),
-        metadata=accounts.metadata,
     )
     return adjusted, MarginAdjustment(
         activity_codes=codes,

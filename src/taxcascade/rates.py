@@ -19,12 +19,7 @@ from .accounts import Activity
 from .engine import (
     INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult, first_stage_table, with_totals
 )
-from .tables import COMPONENT_ORDER, DISPLAY_THRESHOLD, N_COMPONENTS, DemandComponent
-
-#: Cells masked despite expenditure above the threshold each get a diagnostic
-#: up to this many; the rest are counted in one summary line, so the audit
-#: stays bounded at any size.
-MAX_CELL_DIAGNOSTICS = 10
+from .tables import COMPONENT_ORDER, DISPLAY_THRESHOLD, N_COMPONENTS, DemandComponent, listing
 
 
 @dataclass(frozen=True)
@@ -80,27 +75,23 @@ def effective_rates(
     ``rate = 100 * incidence / (expenditure - incidence)``; cells where the
     net base is nonpositive despite expenditure above the threshold are
     masked and reported in ``diagnostics`` rather than raising: the first
-    :data:`MAX_CELL_DIAGNOSTICS` cell by cell, the rest as one count.
+    :data:`~taxcascade.tables.MAX_LISTED_FAILURES` cell by cell, the rest as one count.
     """
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     expenditure = _expenditure_table(result, expenditure)
     rates, masked = _rate_cells(result.incidence_table, expenditure, threshold)
 
-    diagnostics = []
     labels = [c.value for c in COMPONENT_ORDER] + ["total"]
     rows, cols = np.nonzero(masked[:-1] & (expenditure[:-1] > threshold))
-    for i, j in zip(rows[:MAX_CELL_DIAGNOSTICS], cols[:MAX_CELL_DIAGNOSTICS]):
-        diagnostics.append(
-            f"{result.activities[i].code} / {labels[j]}: expenditure "
-            f"{expenditure[i, j]:.6g} does not exceed incidence "
-            f"{result.incidence_table[i, j]:.6g}; rate masked as ND"
-        )
-    if rows.size > MAX_CELL_DIAGNOSTICS:
-        diagnostics.append(
-            f"... and {rows.size - MAX_CELL_DIAGNOSTICS} more cells masked as ND "
-            "despite expenditure above the threshold"
-        )
+    cells = (
+        f"{result.activities[i].code} / {labels[j]}: expenditure "
+        f"{expenditure[i, j]:.6g} does not exceed incidence "
+        f"{result.incidence_table[i, j]:.6g}; rate masked as ND"
+        for i, j in zip(rows, cols)
+    )
+    more = " cells masked as ND despite expenditure above the threshold"
+    diagnostics = listing(cells, rows.size, more)
 
     try:
         shares = component_shares(result)

@@ -1,4 +1,5 @@
-"""Numpy-free layer: final-demand components, table layouts and totals, and ``diff``.
+"""Numpy-free layer: final-demand components, table layouts and totals, ``diff``,
+and the one rule for listing offending items.
 
 ``taxcascade diff`` subtracts two ``result.json`` records and needs nothing
 else, so it runs on this module alone and never loads numpy.  The numpy
@@ -13,6 +14,7 @@ import csv
 import json
 import math
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 
@@ -49,6 +51,21 @@ DEFAULT_REPORT_COMPONENTS: tuple[DemandComponent, ...] = (
 DISPLAY_THRESHOLD = 1000.0
 
 ND = "ND"
+
+#: A message or record lists at most this many offending cells, rows, codes or
+#: columns, and counts the rest in one closing line: it stays bounded at any size.
+MAX_LISTED_FAILURES = 10
+
+
+def listing(items, count: int | None = None, more: str = "") -> list[str]:
+    """The first :data:`MAX_LISTED_FAILURES` of ``items``, which may be lazy so that
+    only these are worded, then ``... and k more`` + ``more`` for the rest of ``count``
+    (default ``len(items)``)."""
+    count = len(items) if count is None else count
+    listed = list(islice(items, min(count, MAX_LISTED_FAILURES)))
+    if count > len(listed):
+        listed.append(f"... and {count - len(listed)} more{more}")
+    return listed
 
 
 def totals(rows: list[list[float]]) -> tuple[list[float], list[float]]:
@@ -119,7 +136,9 @@ def _is_table(value, rows: int, width: int) -> bool:
 
 def read_result_json(path: Path) -> dict:
     """The record in ``path``; ValueError naming the file if it lacks a key diff reads,
-    or if its labels or matrices do not have one row per activity (and Total)."""
+    if its labels or matrices do not have one row per activity (and Total), and also
+    the key and the cell if a matrix cell is not a number or ``null``, or a shown
+    component not one of :data:`COMPONENT_ORDER`."""
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -138,6 +157,23 @@ def read_result_json(path: Path) -> dict:
             f"{path}: {', '.join(wrong)} not shaped for its {n} activities; "
             "recompute this run to diff it"
         )
+    for key in shapes:
+        for i, row in enumerate(record[key]):
+            for j, value in enumerate(row):
+                # JSON numbers or null; type() also turns away true and false
+                if value is not None and type(value) not in (int, float):
+                    raise ValueError(
+                        f"{path}: {key}[{i}][{j}] must be a number or null, got {value!r:.60}"
+                    )
+    names = [c.value for c in COMPONENT_ORDER]
+    shown = record["report_components"]
+    if not isinstance(shown, list):
+        raise ValueError(f"{path}: report_components must be an array, got {shown!r:.60}")
+    for k, name in enumerate(shown):
+        if name not in names:
+            raise ValueError(
+                f"{path}: report_components[{k}] must be one of {names}, got {name!r:.60}"
+            )
     return record
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from taxcascade import (
     Activity,
-    BundleMetadata,
     DemandComponent,
     IOAccounts,
     N_COMPONENTS,
@@ -55,19 +54,6 @@ INTERMEDIATE_SHARE_PCT = 43.3
 # Margin shares of the margin activities: wholesale/retail trade, land
 # transport, water transport.
 MARGIN_SHARES = {"a41": 0.895, "a42": 0.322, "a43": 0.079}
-
-# Published per-tax revenue for the same year (descriptive metadata only).
-TAX_REVENUE = (
-    ("ICMS", 396_513.0),
-    ("Cofins", 199_876.0),
-    ("ISS", 58_083.0),
-    ("PIS", 39_825.0),
-    ("IPI", 48_048.0),
-    ("foreign trade taxes", 39_969.0),
-    ("IOF", 34_681.0),
-    ("ITBI", 11_106.0),
-    ("Cide", 3_271.0),
-)
 
 FOUR_COMPONENTS = (
     DemandComponent.EXPORTS,
@@ -177,12 +163,6 @@ def build_accounts() -> IOAccounts:
     activities = tuple(
         Activity(i, code, label) for i, (code, label) in enumerate(zip(codes, labels))
     )
-    metadata = BundleMetadata(
-        year=2015,
-        currency="BRL millions",
-        source="synthetic accounts shaped to published 2015 first-stage aggregates",
-        tax_revenue=TAX_REVENUE,
-    )
     return IOAccounts(
         activities=activities,
         flows=flows,
@@ -190,5 +170,4 @@ def build_accounts() -> IOAccounts:
         supply=supply,
         taxdest=TaxDestinationTable(dest=dest, statutory=dest.sum(axis=1)),
         marginshares=marginshares,
-        metadata=metadata,
     )

@@ -20,6 +20,7 @@ from taxcascade import (
     MarginError,
     TaxDestinationTable,
 )
+from taxcascade.tables import listing
 
 
 def make_activities(n: int) -> tuple[Activity, ...]:
@@ -124,7 +125,7 @@ def dense_redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, Margin
 
     dead = margin & (accounts.supply == 0)
     if dead.any():
-        names = ", ".join(codes[i] for i in np.flatnonzero(dead))
+        names = ", ".join(listing([codes[i] for i in np.flatnonzero(dead)]))
         raise MarginError(f"margin share set on zero-supply activities: {names}")
 
     supply_rows = np.hstack([accounts.flows, accounts.finaldemand])
@@ -143,7 +144,7 @@ def dense_redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, Margin
     needs = (supply_pool != 0) | (tax_pool != 0)
     blocked = needs & (weight_base == 0)
     if blocked.any():
-        names = ", ".join(destinations[d] for d in np.flatnonzero(blocked))
+        names = ", ".join(listing([destinations[d] for d in np.flatnonzero(blocked)]))
         raise MarginError(
             f"margin supply or tax destined to columns with no non-margin supply: {names}"
         )
@@ -161,7 +162,6 @@ def dense_redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, Margin
         supply=new_supply_rows.sum(axis=1),
         taxdest=TaxDestinationTable(dest=new_tax_rows, statutory=new_tax_rows.sum(axis=1)),
         marginshares=np.zeros(n),
-        metadata=accounts.metadata,
     )
     return adjusted, MarginAdjustment(
         activity_codes=codes,

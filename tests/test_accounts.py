@@ -9,7 +9,6 @@ import pytest
 
 from taxcascade import (
     BundleError,
-    BundleMetadata,
     COMPONENT_ORDER,
     DemandComponent,
     IOAccounts,
@@ -19,6 +18,7 @@ from taxcascade import (
     validate,
 )
 from taxcascade.accounts import _layout
+from taxcascade.tables import MAX_LISTED_FAILURES
 from taxcascade.reporting import write_json
 
 
@@ -30,8 +30,6 @@ def test_demo_bundle_loads(demo_manifest):
     npt.assert_array_equal(accounts.flows[0], [10.0, 60.0, 5.0])
     npt.assert_array_equal(accounts.marginshares, [0.0, 0.0, 0.8])
     npt.assert_array_equal(accounts.taxdest.statutory, [8.0, 30.0, 5.0])
-    assert accounts.metadata.year == 2021
-    assert accounts.metadata.tax_revenue[0] == ("general sales tax", 35.0)
 
 
 def test_component_order_is_fixed():
@@ -170,8 +168,55 @@ def test_wrong_columns_rejected(tmp_path):
     manifest = write_minimal_bundle(
         tmp_path, edits={"flows.csv": "code,up,sideways\nup,20,40\ndown,5,10\n"}
     )
-    with pytest.raises(BundleError, match="columns"):
+    with pytest.raises(BundleError) as excinfo:
         load_bundle(manifest)
+    # the columns that differ, not both whole headers
+    assert str(excinfo.value) == (
+        f"{tmp_path / 'flows.csv'}: flows columns do not match: missing down; unexpected sideways"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("code,up,up\nup,20,40\ndown,5,10\n", "missing down; unexpected up"),
+        ("code,up,down,up\nup,20,40,0\ndown,5,10,0\n", "unexpected up"),
+    ],
+    ids=["instead-of-another", "extra"],
+)
+def test_repeated_column_rejected(tmp_path, text, problem):
+    manifest = write_minimal_bundle(tmp_path, edits={"flows.csv": text})
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    assert str(excinfo.value) == f"{tmp_path / 'flows.csv'}: flows columns do not match: {problem}"
+
+
+def test_header_typo_names_one_column_of_many(tmp_path, accounts_factory):
+    # the whole header of a wide table, twice, used to be the message
+    n = 40
+    accounts = accounts_factory(flows=np.eye(n), finaldemand=np.ones((n, 6)))
+    manifest = save_bundle(accounts, tmp_path)
+    path = tmp_path / "taxdest.csv"
+    lines = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(lines[0].replace(",s03,", ",s03x,") + "\n" + lines[1], encoding="utf-8")
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    message = f"{path}: taxdest columns do not match: missing s03; unexpected s03x"
+    assert str(excinfo.value) == message
+
+
+def test_long_lists_stop_at_the_cap(tmp_path, accounts_factory):
+    n = 40
+    manifest = save_bundle(
+        accounts_factory(flows=np.eye(n), finaldemand=np.ones((n, 6))), tmp_path
+    )
+    (tmp_path / "supply.csv").write_text("code,supply\n", encoding="utf-8")
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    listed = ", ".join(f"s{i:02d}" for i in range(MAX_LISTED_FAILURES))
+    assert str(excinfo.value) == (
+        f"{tmp_path / 'supply.csv'}: missing rows for activities: {listed}, ... and 30 more"
+    )
 
 
 def test_reserved_code_rejected(tmp_path):
@@ -289,15 +334,10 @@ MALFORMED_MANIFESTS = [
     ({"components": 6}, "components must be an array, got 6"),
     ({"tables": ["flows.csv"]}, "tables must be an object, got ['flows.csv']"),
     ({"tables": {**MINIMAL_TABLES, "flows": 5}}, "tables['flows'] must be a string, got 5"),
-    ({"metadata": [1]}, "metadata must be an object, got [1]"),
-    ({"metadata": {"year": "abc"}}, "metadata year must be an integer, got 'abc'"),
-    # int() would read these as 2015, 1 and 2015
-    ({"metadata": {"year": 2015.9}}, "metadata year must be an integer, got 2015.9"),
-    ({"metadata": {"year": True}}, "metadata year must be an integer, got True"),
-    ({"metadata": {"year": "2015"}}, "metadata year must be an integer, got '2015'"),
+    # an entry no table reads is still hashed into the run record, so it must be a path
     (
-        {"metadata": {"tax_revenue": [["ICMS"]]}},
-        "metadata tax_revenue must list [name, amount] pairs, got [['ICMS']]",
+        {"tables": {**MINIMAL_TABLES, "metadata": 5}},
+        "tables['metadata'] must be a string, got 5",
     ),
 ]
 
@@ -323,19 +363,11 @@ def test_malformed_manifest_names_the_field(tmp_path, fields, message):
     [
         ("manifest.json", b"5", "the manifest must be an object, got 5"),
         ("manifest.json", b"\xff\xfe{}", "invalid JSON ("),
-        ("meta.json", b"{", "invalid JSON ("),
-        ("meta.json", b"\xff\xfe{}", "invalid JSON ("),
-        ("meta.json", b"[1]", "metadata must be an object, got [1]"),
-        ("meta.json", b'{"year": "abc"}', "metadata year must be an integer, got 'abc'"),
-        ("meta.json", b'{"tax_revenue": 5}', "metadata tax_revenue must list [name, amount] pairs"),
         ("supply.csv", "code,supply\nup,100\n".encode("utf-16"), "not UTF-8 text ("),
     ],
 )
 def test_malformed_file_is_named(tmp_path, name, text, message):
-    manifest = write_malformed_manifest(
-        tmp_path, {"tables": {**MINIMAL_TABLES, "metadata": "meta.json"}}
-    )
-    (tmp_path / "meta.json").write_text("{}", encoding="utf-8")
+    manifest = write_minimal_bundle(tmp_path)
     (tmp_path / name).write_bytes(text)
     with pytest.raises(BundleError) as excinfo:
         load_bundle(manifest)
@@ -443,7 +475,6 @@ def test_round_trip_is_bit_exact(tmp_path, brazil_accounts):
     npt.assert_array_equal(again.taxdest.statutory, brazil_accounts.taxdest.statutory)
     npt.assert_array_equal(again.marginshares, brazil_accounts.marginshares)
     assert again.codes == brazil_accounts.codes
-    assert again.metadata == brazil_accounts.metadata
 
 
 def test_round_trip_awkward_values(tmp_path, accounts_factory):
@@ -474,11 +505,6 @@ def test_saved_tables_are_csv_of_reprs(tmp_path, accounts_factory):
     again = load_bundle(manifest, check=False)
     npt.assert_array_equal(again.flows.view(np.int64), flows.view(np.int64))
     npt.assert_array_equal(again.finaldemand.view(np.int64), fd.view(np.int64))
-
-
-def test_metadata_round_trip_via_mapping():
-    meta = BundleMetadata(year=2015, currency="BRL", tax_revenue=(("vat", 1.5),))
-    assert BundleMetadata.from_mapping(meta.to_mapping()) == meta
 
 
 def test_validation_report_json(tmp_path, demo_manifest):

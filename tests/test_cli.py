@@ -21,7 +21,8 @@ from taxcascade import (
     redistribute_margins,
     save_bundle,
 )
-from taxcascade.accounts import MAX_LISTED_FAILURES, BundleError
+from taxcascade.accounts import BundleError
+from taxcascade.tables import MAX_LISTED_FAILURES
 import taxcascade.cli as cli
 from taxcascade.cli import main
 
@@ -131,6 +132,63 @@ def test_malformed_manifest_exits_1_naming_it(tmp_path, capsys, command, fields,
     assert f"{manifest}: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def demo_copy(demo_manifest, directory, **fields):
+    """The demo bundle copied to ``directory``, its manifest without ``metadata``
+    and with ``fields`` set."""
+    shutil.copytree(demo_manifest.parent, directory)
+    manifest = directory / demo_manifest.name
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    del data["metadata"]
+    manifest.write_text(json.dumps({**data, **fields}), encoding="utf-8")
+    return manifest
+
+
+def run_files(manifest, out):
+    """What validate and compute write for ``manifest`` under ``out``, audit.json
+    parsed and without its two keys that name the input files."""
+    assert main(["validate", "--manifest", str(manifest), "--out", str(out / "v")]) == 0
+    assert main(["compute", "--manifest", str(manifest), "--out", str(out / "c")]) == 0
+    files = {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*.*")}
+    audit = json.loads(files.pop("c/audit.json"))
+    return files, {k: v for k, v in audit.items() if k not in ("bundle", "manifest")}
+
+
+@pytest.mark.parametrize(
+    "tables, fields",
+    [
+        # metadata that load_bundle once type-checked, inline ...
+        ({}, {"metadata": {"year": "2015", "tax_revenue": [["ICMS"]]}}),
+        # ... or in a file named under tables, now not even JSON
+        ({"metadata": "meta.json"}, {}),
+    ],
+    ids=["inline", "file"],
+)
+def test_manifest_metadata_is_not_read(demo_manifest, tmp_path, tables, fields):
+    plain = demo_copy(demo_manifest, tmp_path / "plain")
+    base = json.loads(plain.read_text(encoding="utf-8"))
+    extra = demo_copy(
+        demo_manifest, tmp_path / "extra", tables={**base["tables"], **tables}, **fields
+    )
+    (extra.parent / "meta.json").write_text("{not json", encoding="utf-8")
+    assert run_files(extra, tmp_path / "extra-out") == run_files(plain, tmp_path / "plain-out")
+    # the run record still pins every file the manifest names
+    bundle = json.loads((tmp_path / "extra-out" / "c" / "audit.json").read_text())["bundle"]
+    assert ("sha256" in bundle.get("metadata", {})) == bool(tables)
+
+
+def test_unhashable_tables_entry_writes_nothing(demo_manifest, tmp_path, capsys):
+    plain = json.loads(demo_manifest.read_text(encoding="utf-8"))
+    manifest = demo_copy(
+        demo_manifest, tmp_path / "bundle", tables={**plain["tables"], "notes": "."}
+    )
+    out = tmp_path / "out"
+    assert main(["compute", "--manifest", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Is a directory" in err and str(manifest.parent) in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "compute"])
@@ -261,11 +319,18 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
         ("\nfarm,0\nmill,0\n", "scenario.csv: expected the header code,scale, got ['farm', '0']"),
         ('code,scale\n"mill,2\n', "scenario.csv:2: a quoted cell runs past the end of the line"),
         ("code,scale\nghost,2\nmill,1\nspook,0\n", "scenario.csv: unknown activity codes: ghost, spook"),
+        # one error, bounded: the first 10 codes, then a count
+        (
+            "code,scale\n" + "".join(f"ghost{k:02d},2\n" for k in range(25)),
+            "scenario.csv: unknown activity codes: "
+            + ", ".join(f"ghost{k:02d}" for k in range(10)) + ", ... and 15 more\n",
+        ),
         (b"code,scale\nm\xfcll,2\n", "scenario.csv: not UTF-8 text ("),
     ],
     ids=[
         "short-row", "long-row", "not-a-number", "underscore", "arabic-indic-digit", "nan",
-        "inf", "duplicate", "no-header", "open-quote", "unknown-codes", "latin-1",
+        "inf", "duplicate", "no-header", "open-quote", "unknown-codes", "unknown-codes-capped",
+        "latin-1",
     ],
 )
 def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text, message):
@@ -844,6 +909,50 @@ def test_diff_rejects_misshapen_record(demo_manifest, tmp_path, capsys, key, edi
     err = capsys.readouterr().err
     assert f"{path}: {key} not shaped for its 3 activities" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
+def set_cell(key, i, j, value):
+    def edit(record):
+        record[key][i][j] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, where, got",
+    [
+        (set_cell("final_incidence", 1, 2, [1]), "final_incidence[1][2]", "[1]"),
+        (set_cell("final_incidence", 0, 5, "x"), "final_incidence[0][5]", "'x'"),
+        # Python reads JSON's true as the int 1: a plausible delta, without the check
+        (set_cell("final_incidence", 2, 0, True), "final_incidence[2][0]", "True"),
+        (set_cell("effective_rates", 3, 6, {}), "effective_rates[3][6]", "{}"),
+        (
+            lambda record: record.update(report_components=["exports", "nope"]),
+            "report_components[1]",
+            "'nope'",
+        ),
+        (
+            lambda record: record.update(report_components="exports"),
+            "report_components",
+            "'exports'",
+        ),
+    ],
+    ids=["list-cell", "string-cell", "true-cell", "object-rate", "unknown-component", "no-array"],
+)
+def test_diff_reads_only_numbers(demo_manifest, tmp_path, capsys, edit, where, got):
+    compute_demo(demo_manifest, tmp_path / "a")
+    record = compute_demo(demo_manifest, tmp_path / "b")
+    edit(record)
+    path = tmp_path / "b" / "result.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    rc = main([
+        "diff", "--baseline", str(tmp_path / "a"), "--scenario", str(tmp_path / "b"),
+        "--out", str(tmp_path / "d"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {where} must be ")
+    assert err.endswith(f", got {got}\n")
     assert not (tmp_path / "d").exists()
 
 

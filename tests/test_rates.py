@@ -17,7 +17,7 @@ from taxcascade import (
     single_rate_equivalent,
 )
 from taxcascade.engine import with_totals
-from taxcascade.rates import MAX_CELL_DIAGNOSTICS
+from taxcascade.tables import MAX_LISTED_FAILURES
 from taxcascade.reporting import (
     ND,
     format_number,
@@ -120,10 +120,10 @@ def test_cell_diagnostics_are_bounded():
     report = effective_rates(make_result(np.full((4, 6), 2500.0)), np.full((4, 6), 2000.0))
     assert report.masked.all()
     cells = [d for d in report.diagnostics if d.endswith("rate masked as ND")]
-    assert len(cells) == MAX_CELL_DIAGNOSTICS
+    assert len(cells) == MAX_LISTED_FAILURES
     assert cells[0].startswith("s00 / ")
-    assert report.diagnostics[MAX_CELL_DIAGNOSTICS:] == (
-        f"... and {28 - MAX_CELL_DIAGNOSTICS} more cells masked as ND "
+    assert report.diagnostics[MAX_LISTED_FAILURES:] == (
+        f"... and {28 - MAX_LISTED_FAILURES} more cells masked as ND "
         "despite expenditure above the threshold",
     )
 
