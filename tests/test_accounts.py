@@ -374,6 +374,41 @@ def test_malformed_file_is_named(tmp_path, name, text, message):
     assert str(excinfo.value).startswith(f"{tmp_path / name}: {message}")
 
 
+@pytest.mark.parametrize(
+    "fields, meta",
+    [
+        # each of these once stopped load_bundle, inline ...
+        ({"metadata": [1]}, None),
+        ({"metadata": {"year": "abc"}}, None),
+        ({"metadata": {"year": 2015.9}}, None),
+        ({"metadata": {"year": True}}, None),
+        ({"metadata": {"year": "2015"}}, None),
+        ({"metadata": {"tax_revenue": [["ICMS"]]}}, None),
+        # ... or in a file named under tables
+        ({"tables": {**MINIMAL_TABLES, "metadata": "meta.json"}}, b"{"),
+        ({"tables": {**MINIMAL_TABLES, "metadata": "meta.json"}}, b"\xff\xfe{}"),
+        ({"tables": {**MINIMAL_TABLES, "metadata": "meta.json"}}, b"[1]"),
+        ({"tables": {**MINIMAL_TABLES, "metadata": "meta.json"}}, b'{"year": "abc"}'),
+        ({"tables": {**MINIMAL_TABLES, "metadata": "meta.json"}}, b'{"tax_revenue": 5}'),
+    ],
+)
+def test_metadata_is_not_read(tmp_path, fields, meta):
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "extra").mkdir()
+    plain = load_bundle(write_minimal_bundle(tmp_path / "plain"))
+    manifest = write_malformed_manifest(tmp_path / "extra", fields)
+    if meta is not None:
+        (tmp_path / "extra" / "meta.json").write_bytes(meta)
+    again = load_bundle(manifest)
+    assert again.codes == plain.codes
+    npt.assert_array_equal(again.flows, plain.flows)
+    npt.assert_array_equal(again.finaldemand, plain.finaldemand)
+    npt.assert_array_equal(again.supply, plain.supply)
+    npt.assert_array_equal(again.taxdest.dest, plain.taxdest.dest)
+    npt.assert_array_equal(again.taxdest.statutory, plain.taxdest.statutory)
+    npt.assert_array_equal(again.marginshares, plain.marginshares)
+
+
 def test_loaded_matrices_are_column_major(demo_manifest):
     # numpy's sums round by memory order, so the layout the loader gives is
     # part of what keeps the outputs of every command byte for byte the same
