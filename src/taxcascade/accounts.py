@@ -18,11 +18,15 @@ Provides:
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +173,7 @@ class CheckResult:
 
     name: str
     passed: bool
-    residual: float = 0.0  # worst offending magnitude, 0 when clean
+    residual: float | None = 0.0  # worst offending magnitude, 0 when clean, None if not finite
     # human-readable rows/cells that failed: the first MAX_LISTED_FAILURES,
     # then "... and k more" if there are more
     failures: tuple[str, ...] = ()
@@ -202,7 +206,7 @@ class ValidationReport:
         ]
 
 
-def _result(name: str, failures, count: int, residual: float) -> CheckResult:
+def _result(name: str, failures, count: int, residual: float | None) -> CheckResult:
     """A check with ``count`` failures, worded by the lazy ``failures`` as far as listed."""
     failures = tuple(listing(failures, count))
     return CheckResult(name, passed=not count, residual=residual, failures=failures, count=count)
@@ -216,17 +220,17 @@ def _check(name: str, bad: np.ndarray, residual: float, describe) -> CheckResult
 
 
 def _finite_cells(accounts: IOAccounts) -> CheckResult:
-    """Every cell of every table is finite; residual counts the cells that are not."""
-    codes = accounts.codes
-    tables = [(table, columns, values(accounts)) for table, columns, values in _layout(codes)]
-    bad = [~np.isfinite(matrix) for *_, matrix in tables]
+    """Every cell of every table is finite; only a failure lays the tables out, to word it."""
+    codes, t = accounts.codes, accounts.taxdest
+    stored = (accounts.flows, accounts.finaldemand, accounts.supply, accounts.marginshares, t.dest)
+    count = sum(int(np.count_nonzero(~np.isfinite(a))) for a in (*stored, t.statutory))
     failures = (
         f"{table}: {codes[i]} / {columns[j]}: {matrix[i, j]}"
-        for (table, columns, matrix), cells in zip(tables, bad)
-        for i, j in zip(*np.nonzero(cells))
+        for table, columns, values in _layout(codes)
+        for matrix in [values(accounts)]
+        for i, j in zip(*np.nonzero(~np.isfinite(matrix)))
     )
-    count = sum(int(np.count_nonzero(cells)) for cells in bad)
-    return _result("finite_cells", failures, count, float(count))
+    return _result("finite_cells", failures, count, None if count else 0.0)
 
 
 def validate(accounts: IOAccounts) -> ValidationReport:
@@ -336,6 +340,9 @@ def _layout(codes: tuple[str, ...]) -> tuple:
 
 _OPEN_QUOTE = "a quoted cell runs past the end of the line"
 
+#: Table lines per call of numpy's parser: no table's text or second copy is held whole.
+PARSE_ROWS = 64
+
 
 def _parse(lines: list[str], delimiter: str, **options) -> np.ndarray:
     """numpy's C parse of table lines, one row per line unless a quoted cell spans lines."""
@@ -350,55 +357,10 @@ def _spans_lines(line: str, delimiter: str) -> bool:
     return '"' in line and len(_parse([line, line], delimiter, dtype=object)) == 1
 
 
-def read_table(path: Path, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
-    """Read one table: its header, code column first, its row codes in file
-    order and the matrix of its values, one row per code.
-
-    numpy's C parser reads the numbers, with no Python object per cell.  Lines
-    that are blank, or hold delimiters and spaces only, are skipped.  Where
-    numpy rejects the table, or reads it to the wrong shape or with a repeated
-    code, each row is parsed again alone by the same parser, only to raise at
-    the first defect with its ``path:line``.
-    """
-    try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
-    except FileNotFoundError:
-        raise BundleError(f"table file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise BundleError(f"{path}: not UTF-8 text ({exc})") from None
-    # 1-based numbers of the lines that hold a cell; the first character
-    # settles almost every line without copying it
-    numbers = [
-        k
-        for k, line in enumerate(lines, 1)
-        if line.lstrip()[:1] not in ("", delimiter) or line.replace(delimiter, "").strip()
-    ]
-    if not numbers:
-        raise BundleError(f"{path}: empty table")
-    kept = [lines[k - 1] for k in numbers]
-    if _spans_lines(kept[0], delimiter):
-        raise BundleError(f"{path}:{numbers[0]}: {_OPEN_QUOTE}")
-    header = [cell.strip() for cell in _parse(kept[:1], delimiter, dtype=object)[0]]
-    if len(kept) == 1:
-        return header, [], np.empty((0, len(header) - 1))
-    codes: list[str] = []
-    # the code column: keep each code, and give numpy a number for it
-    keep_code = {0: lambda cell: codes.append(cell.strip()) or 0.0}
-    try:
-        values = _parse(kept[1:], delimiter, converters=keep_code)
-    except ValueError:
-        values = None
-    # fewer rows than lines: a quoted cell spans lines and merged them
-    if (
-        values is not None
-        and values.shape == (len(kept) - 1, len(header))
-        and len(set(codes)) == len(codes)
-        and not _spans_lines(kept[-1], delimiter)
-    ):
-        return header, codes, values[:, 1:]
-    # the table is rejected: find its first defect, one line at a time
-    seen: set[str] = set()
-    for k, line in zip(numbers[1:], kept[1:]):
+def _first_defect(path: Path, header: list[str], numbers, lines, seen: set[str], delimiter: str):
+    """Raise at the first of ``lines`` with a defect, parsing each alone; ``seen``
+    holds the codes of the lines before them."""
+    for k, line in zip(numbers, lines):
         if _spans_lines(line, delimiter):
             raise BundleError(f"{path}:{k}: {_OPEN_QUOTE}")
         cells = [cell.strip() for cell in _parse([line], delimiter, dtype=object)[0]]
@@ -408,7 +370,7 @@ def read_table(path: Path, delimiter: str) -> tuple[list[str], list[str], np.nda
             raise BundleError(f"{path}:{k}: duplicate activity code {cells[0]!r}")
         seen.add(cells[0])
         try:
-            _parse([line], delimiter, converters=keep_code)
+            _parse([line], delimiter, converters={0: lambda cell: 0.0})
         except ValueError as exc:
             # numpy names the cell's 1-based column: "... at row 0, column 2."
             j = int(re.search(r"column (\d+)", str(exc))[1]) - 1
@@ -418,22 +380,97 @@ def read_table(path: Path, delimiter: str) -> tuple[list[str], list[str], np.nda
     raise BundleError(f"{path}: numpy's parser rejects the table")
 
 
-def _row_order(path: Path, row_codes: list[str], codes: tuple[str, ...]) -> list[int]:
-    """Positions in ``row_codes`` of each of ``codes``, which must match it as a set."""
-    position = {code: i for i, code in enumerate(row_codes)}
-    missing = [c for c in codes if c not in position]
-    if missing:
-        raise BundleError(f"{path}: missing rows for activities: {', '.join(listing(missing))}")
-    known = set(codes)
-    extra = [c for c in row_codes if c not in known]
-    if extra:
-        raise BundleError(f"{path}: unknown activity rows: {', '.join(listing(extra))}")
-    return [position[c] for c in codes]
+def read_table(path: Path, delimiter: str, place=None) -> tuple[list[str], list[str], np.ndarray]:
+    """Read one table: its header, code column first, its row codes in file
+    order and the matrix of its values, one row per code.
+
+    numpy's C parser reads :data:`PARSE_ROWS` lines at a time, with no Python
+    object per cell; blank lines, and lines of delimiters and spaces, are
+    skipped.  Where numpy rejects a chunk, or reads it to the wrong shape or
+    with a repeated code, each of its lines is parsed again alone, only to
+    raise at the first defect with its ``path:line``.  ``place(header)``, if
+    given, returns the header position (code column excluded) of each column
+    to keep and the row of each code, which must each have one line: the
+    chunks are then stored as parsed into one column-major matrix.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return _read_lines(path, fh, delimiter, place)
+    except FileNotFoundError:
+        raise BundleError(f"table file not found: {path}") from None
+    except UnicodeDecodeError:
+        try:  # decoded whole, the error gives the byte's offset in the file
+            path.read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise BundleError(f"{path}: not UTF-8 text ({exc})") from None
+        raise
 
 
-def _column_permutation(table: str, path: Path, header: list[str], wanted: list[str]) -> list[int]:
-    """Positions in ``header`` of each of ``wanted``; a mismatch names the missing
-    and the unexpected (or repeated) columns."""
+def _read_lines(path: Path, fh, delimiter: str, place) -> tuple[list[str], list[str], np.ndarray]:
+    """:func:`read_table` of the open file ``fh``."""
+    # numbered as str.splitlines numbers the text; the first character settles most lines
+    numbered = enumerate((line for physical in fh for line in physical.splitlines()), 1)
+    lines = (
+        (k, line) for k, line in numbered
+        if line.lstrip()[:1] not in ("", delimiter) or line.replace(delimiter, "").strip()
+    )
+    k, line = next(lines, (0, None))
+    if line is None:
+        raise BundleError(f"{path}: empty table")
+    if _spans_lines(line, delimiter):
+        raise BundleError(f"{path}:{k}: {_OPEN_QUOTE}")
+    header = [cell.strip() for cell in _parse([line], delimiter, dtype=object)[0]]
+    if place is not None:
+        columns, rows = place(header)
+        # column-major, as the accounts have always been: numpy's sums round by
+        # memory order, so another layout would change the outputs' last digits
+        out = np.empty((len(rows), len(columns)), order="F")
+        if columns == list(range(len(header) - 1)):
+            columns = slice(None)  # every column in order: each chunk is stored as it is
+    chunks, codes, seen = [], [], set()  # codes and seen differ only at a repeated code
+    # the code column: keep each code, and give numpy a number for it
+    keep_code = {0: lambda cell: codes.append(cell.strip()) or 0.0}
+    while chunk := list(islice(lines, PARSE_ROWS)):
+        numbers, kept = zip(*chunk)
+        start = len(codes)
+        try:
+            values = _parse(list(kept), delimiter, converters=keep_code)
+        except ValueError:
+            values = None
+        seen.update(codes[start:])
+        # fewer rows than lines: a quoted cell spans lines and merged them
+        if (
+            values is None or values.shape != (len(kept), len(header))
+            or len(seen) != len(codes) or _spans_lines(kept[-1], delimiter)
+        ):
+            _first_defect(path, header, numbers, kept, set(codes[:start]), delimiter)
+        if place is None:
+            chunks.append(values[:, 1:])
+            continue
+        at = [rows.get(code, -1) for code in codes[start:]]
+        if -1 not in at:  # else an unknown code, named once every line is checked
+            # one slice where the rows run in order, as save_bundle writes them
+            target = slice(at[0], at[-1] + 1) if at == list(range(at[0], at[-1] + 1)) else at
+            out[target] = values[:, 1:][:, columns]
+    if place is None:
+        return header, codes, np.concatenate(chunks) if chunks else np.empty((0, len(header) - 1))
+    for problem, names in (
+        ("missing rows for activities", [code for code in rows if code not in seen]),
+        ("unknown activity rows", [code for code in codes if code not in rows]),
+    ):
+        if names:
+            raise BundleError(f"{path}: {problem}: {', '.join(listing(names))}")
+    return header, codes, out
+
+
+def _placement(table: str, path: Path, wanted: list[str], rows: dict, header: list[str]):
+    """Where :func:`read_table` puts a bundle table: the header position of each
+    of ``wanted`` (any one name in a one-column table), and ``rows``."""
+    header = header[1:]
+    if table in ("supply", "marginshares"):
+        if len(header) != 1:
+            raise BundleError(f"{path}: {table} table must have one value column")
+        return [0], rows
     have, want = Counter(header), Counter(wanted)
     if have != want:
         problems = [
@@ -443,7 +480,7 @@ def _column_permutation(table: str, path: Path, header: list[str], wanted: list[
         ]
         raise BundleError(f"{path}: {table} columns do not match: {'; '.join(problems)}")
     position = {name: i for i, name in enumerate(header)}
-    return [position[name] for name in wanted]
+    return [position[name] for name in wanted], rows
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
@@ -464,9 +501,9 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     component names in the order used by this bundle's files), ``tables``
     (mapping of table name to file path, relative to the manifest), and
     optionally ``delimiter`` ("," default, or ";").  Every ``tables`` entry
-    must be a path string, since the run record hashes each one, but only the
-    five tables are read; any other key, such as a descriptive ``metadata``
-    block, is not read.
+    must name a regular file, since the run record hashes each one, but only
+    the five tables are read; any other key, such as a descriptive
+    ``metadata`` block, is not read.
 
     With ``check=False`` only structural alignment is enforced; accounting
     invariants are skipped so that diagnostic callers can obtain a report via
@@ -532,24 +569,19 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     missing = [name for name, _, _ in layout if name not in tables]
     if missing:
         raise BundleError(f"{manifest_path}: tables missing entries: {', '.join(missing)}")
-    for name, rel in tables.items():  # the run record hashes every entry
-        _expect(rel, str, f"{manifest_path}: tables[{name!r}]")
+    paths = {}
+    for name, rel in tables.items():  # the run record hashes every entry: each must be a file
+        where = f"{manifest_path}: tables[{name!r}]"
+        paths[name] = path = manifest_path.parent / _expect(rel, str, where)
+        if not path.is_file():
+            what = os.strerror(errno.EISDIR) if path.is_dir() else "regular file not found"
+            raise BundleError(f"{where}: {what}: {path}")
 
+    rows = {code: i for i, code in enumerate(codes)}
     aligned = {}
     for name, wanted, _ in layout:
-        path = manifest_path.parent / tables[name]
-        header, row_codes, values = read_table(path, delimiter)
-        header = header[1:]
-        if name not in ("supply", "marginshares"):
-            perm = _column_permutation(name, path, header, wanted)
-        elif len(header) == 1:  # one-column tables accept any header name
-            perm = [0]
-        else:
-            raise BundleError(f"{path}: {name} table must have one value column")
-        # One copy, column-major as the accounts have always been: numpy's sums
-        # round by memory order, so another layout would change the outputs'
-        # last digits.
-        aligned[name] = values.T[np.ix_(perm, _row_order(path, row_codes, codes))].T
+        place = partial(_placement, name, paths[name], wanted, rows)
+        aligned[name] = read_table(paths[name], delimiter, place)[2]
 
     try:
         accounts = IOAccounts(

@@ -227,11 +227,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
         del accounts
 
         system = build_system(engine_input, allow_unredistributed_margins=args.skip_margins)
+        # The rates read only the final demand: copied, the full-size tables go before the solve.
+        expenditure = engine_input.finaldemand.copy(order="K")
+        del engine_input
         if args.method == "truncated":
             result = propagate_truncated(system, tol=args.tol, maxstages=args.maxstages)
         else:
             result = propagate_closed_form(system)
-        report = effective_rates(result, engine_input.finaldemand, threshold=args.threshold)
+        report = effective_rates(result, expenditure, threshold=args.threshold)
 
         # Every check has passed and every input file is hashed; only now does
         # anything reach --out.

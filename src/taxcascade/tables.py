@@ -137,10 +137,10 @@ def _is_table(value, rows: int, width: int) -> bool:
 def read_result_json(path: Path) -> dict:
     """The record in ``path``; ValueError naming the file if it lacks a key diff reads,
     if its labels or matrices do not have one row per activity (and Total), and also
-    the key and the cell if a matrix cell is not a number or ``null``, or a shown
-    component not one of :data:`COMPONENT_ORDER`."""
+    the key and the cell if a matrix cell is not a JSON number (``Infinity`` and ``NaN``
+    are not) or ``null``, or a shown component not one of :data:`COMPONENT_ORDER`."""
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
+        record = json.loads(path.read_text(encoding="utf-8"), parse_constant=str)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     keys = ("activities", "labels", "report_components", "final_incidence", "effective_rates")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -17,7 +18,7 @@ from taxcascade import (
     save_bundle,
     validate,
 )
-from taxcascade.accounts import _layout
+from taxcascade.accounts import PARSE_ROWS, _layout
 from taxcascade.tables import MAX_LISTED_FAILURES
 from taxcascade.reporting import write_json
 
@@ -417,6 +418,75 @@ def test_loaded_matrices_are_column_major(demo_manifest):
         assert matrix.flags.f_contiguous and not matrix.flags.c_contiguous
 
 
+def sparse_accounts(accounts_factory, n, seed):
+    """A balanced n-activity bundle with about 3% of its flows and tax cells set,
+    as input-output tables are sparse."""
+    rng = np.random.default_rng(seed)
+
+    def sparse(*shape):
+        return rng.random(shape) * 1e4 * (rng.random(shape) < 0.03)
+
+    return accounts_factory(
+        flows=sparse(n, n), finaldemand=sparse(n, 6) + 1.0, dest=sparse(n, n + 6),
+        codes=[f"a{i:04d}" for i in range(n)],
+    )
+
+
+def test_shuffled_table_loads_as_the_whole_file_aligned(tmp_path, accounts_factory):
+    # rows shuffled and columns permuted in every table, ";" as the delimiter and
+    # more than two chunks of rows: each array is, bit for bit and in memory
+    # order, the whole parsed file aligned by one fancy-indexed copy
+    n = 2 * PARSE_ROWS + 37
+    accounts = sparse_accounts(accounts_factory, n, seed=3)
+    manifest = save_bundle(accounts, tmp_path)
+    rng = np.random.default_rng(4)
+    expected = {}
+    for name, columns, values in _layout(accounts.codes):
+        rows = rng.permutation(n)
+        order = rng.permutation(len(columns))
+        in_file = values(accounts)[rows][:, order]
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, delimiter=";", lineterminator="\n")
+            writer.writerow(["code", *(columns[j] for j in order)])
+            for i, row in zip(rows, in_file.tolist()):
+                writer.writerow([accounts.codes[i], *map(repr, row)])
+        # the loader's copy before tables were parsed in chunks
+        expected[name] = in_file.T[np.ix_(np.argsort(order), np.argsort(rows))].T
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    manifest.write_text(json.dumps({**data, "delimiter": ";"}), encoding="utf-8")
+    loaded = load_bundle(manifest)
+    pairs = [
+        (loaded.flows, expected["flows"]),
+        (loaded.finaldemand, expected["finaldemand"]),
+        (loaded.supply, expected["supply"][:, 0]),
+        (loaded.taxdest.statutory, expected["taxdest"][:, 0]),
+        (loaded.taxdest.dest, expected["taxdest"][:, 1:]),
+        (loaded.marginshares, expected["marginshares"][:, 0]),
+    ]
+    for got, want in pairs:
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.strides == want.strides
+    assert loaded.flows.flags.f_contiguous and loaded.taxdest.dest.flags.f_contiguous
+
+
+def test_load_bundle_holds_little_beyond_its_arrays(tmp_path, accounts_factory):
+    # tables are parsed a chunk at a time into their aligned arrays: no whole
+    # file's text and no second copy of a table is held
+    n = 800
+    manifest = save_bundle(sparse_accounts(accounts_factory, n, seed=5), tmp_path)
+    tracemalloc.start()
+    try:
+        accounts = load_bundle(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (accounts.flows, accounts.finaldemand, accounts.supply,
+                                  accounts.taxdest.dest, accounts.taxdest.statutory,
+                                  accounts.marginshares))
+    assert peak - held < 0.5 * 8 * n * (n + 6)
+
+
 def test_check_false_defers_invariants(tmp_path):
     manifest = write_minimal_bundle(
         tmp_path, edits={"supply.csv": "code,supply\nup,999\ndown,50\n"}
@@ -579,6 +649,8 @@ def test_non_finite_cell_fails_validation(tmp_path, demo_manifest, table, code, 
     assert check.name == "finite_cells"
     assert not check.passed
     assert check.failures == (f"{table}: {code} / {column}: {text}",)
+    # a non-finite cell has no finite magnitude: the count alone says how many
+    assert (check.count, check.residual) == (1, None)
     with pytest.raises(BundleError, match="finite_cells: 1 failure") as excinfo:
         load_bundle(manifest)
     assert check.failures[0] in str(excinfo.value)

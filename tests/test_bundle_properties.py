@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,6 +20,7 @@ from taxcascade import (
     load_bundle,
     save_bundle,
 )
+import taxcascade.accounts
 from taxcascade.accounts import _RESERVED_HEADERS, read_table
 
 EDGE_VALUES = [
@@ -161,3 +163,17 @@ def test_table_loads_as_oracle_reads_it_or_names_a_bad_line(header, rows, delimi
     assert loaded[1] == codes
     expected = np.array(values, dtype=float).reshape(len(codes), len(names) - 1)
     np.testing.assert_array_equal(bits(loaded[2]), bits(expected))
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        test_table_loads_as_oracle_reads_it_or_names_a_bad_line,
+        test_save_load_round_trip_is_bit_exact,
+    ],
+)
+def test_properties_hold_two_lines_at_a_time(monkeypatch, prop):
+    # rows, defects and open quotes then fall on the boundaries between the
+    # chunks numpy parses, and a bundle's rows are stored across them
+    monkeypatch.setattr(taxcascade.accounts, "PARSE_ROWS", 2)
+    prop()

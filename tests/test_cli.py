@@ -178,6 +178,23 @@ def test_manifest_metadata_is_not_read(demo_manifest, tmp_path, tables, fields):
     assert ("sha256" in bundle.get("metadata", {})) == bool(tables)
 
 
+@pytest.mark.parametrize("command", ["validate", "compute"])
+@pytest.mark.parametrize("entry", [".", "absent.txt"], ids=["directory", "missing"])
+def test_tables_entry_must_name_a_file(demo_manifest, tmp_path, capsys, command, entry):
+    # validate and compute accept the same bundles: each entry is hashed by compute
+    plain = json.loads(demo_manifest.read_text(encoding="utf-8"))
+    manifest = demo_copy(
+        demo_manifest, tmp_path / "bundle", tables={**plain["tables"], "notes": entry}
+    )
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: tables['notes']: ")
+    assert str(manifest.parent / entry) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unhashable_tables_entry_writes_nothing(demo_manifest, tmp_path, capsys):
     plain = json.loads(demo_manifest.read_text(encoding="utf-8"))
     manifest = demo_copy(
@@ -440,6 +457,7 @@ def test_non_finite_cell_stops_validate_and_compute(
     report = (tmp_path / "v" / "validation_report.json").read_text(encoding="utf-8")
     records = json.loads(report, parse_constant=reject_constant)
     assert [(r["check"], r["passed"]) for r in records] == [("finite_cells", False)]
+    assert (records[0]["count"], records[0]["residual"]) == (1, None)
     assert main(["compute", "--manifest", str(manifest), "--out", str(tmp_path / "c")]) == 1
     assert cell in capsys.readouterr().err
 
@@ -555,37 +573,53 @@ def test_compute_drops_the_input_accounts_after_the_margin_step(
     demo_manifest, tmp_path, monkeypatch, scenario
 ):
     # the loaded accounts, and the scaled ones of a scenario run, are dead by
-    # the time the coefficient system is built from the adjusted accounts
-    inputs = []
+    # the time the coefficient system is built from the adjusted accounts; the
+    # accounts it is built from (the input under --skip-margins) are dead by
+    # the time it is solved
+    made = []
 
     def keeping_a_weakref(name):
         fn = getattr(cli, name)
 
         def wrapper(*args, **kwargs):
-            accounts = fn(*args, **kwargs)
-            inputs.append((name, weakref.ref(accounts)))
-            return accounts
+            value = fn(*args, **kwargs)
+            accounts = value[0] if name == "redistribute_margins" else value
+            made.append((name, weakref.ref(accounts)))
+            return value
 
         return wrapper
 
-    alive_at_build = []
+    alive = {}
 
-    def building(*args, **kwargs):
-        alive_at_build.extend(name for name, ref in inputs if ref() is not None)
-        return build(*args, **kwargs)
+    def noting_the_living(name):
+        fn = getattr(cli, name)
 
-    build = cli.build_system
-    for name in ("load_bundle", "apply_scenario"):
+        def wrapper(*args, **kwargs):
+            alive[name] = [made_by for made_by, ref in made if ref() is not None]
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("load_bundle", "apply_scenario", "redistribute_margins"):
         monkeypatch.setattr(cli, name, keeping_a_weakref(name))
-    monkeypatch.setattr(cli, "build_system", building)
-    args = ["compute", "--manifest", str(demo_manifest), "--out", str(tmp_path / "run")]
+    for name in ("build_system", "propagate_closed_form", "propagate_truncated"):
+        monkeypatch.setattr(cli, name, noting_the_living(name))
+    args = ["compute", "--manifest", str(demo_manifest)]
     if scenario:
         path = tmp_path / "scenario.csv"
         path.write_text("code,scale\nmill,1.003\n", encoding="utf-8")
         args += ["--scenario", str(path)]
-    assert main(args) == 0
-    assert [name for name, _ in inputs] == ["load_bundle"] + ["apply_scenario"] * scenario
-    assert alive_at_build == []
+    truncated = ["--method", "truncated", "--tol", "1e-12", "--maxstages", "100000"]
+    for k, flags in enumerate([[], ["--skip-margins"], truncated]):
+        made.clear()
+        alive.clear()
+        assert main(args + flags + ["--out", str(tmp_path / f"run{k}")]) == 0
+        inputs = ["load_bundle"] + ["apply_scenario"] * scenario
+        if "--skip-margins" not in flags:
+            inputs.append("redistribute_margins")
+        assert [name for name, _ in made] == inputs
+        propagate = "propagate_truncated" if flags == truncated else "propagate_closed_form"
+        assert alive == {"build_system": inputs[-1:], propagate: []}
 
 
 def test_truncated_requires_tol_and_maxstages(demo_manifest, tmp_path):
@@ -926,6 +960,10 @@ def set_cell(key, i, j, value):
         # Python reads JSON's true as the int 1: a plausible delta, without the check
         (set_cell("final_incidence", 2, 0, True), "final_incidence[2][0]", "True"),
         (set_cell("effective_rates", 3, 6, {}), "effective_rates[3][6]", "{}"),
+        # json.dumps writes inf and nan as Infinity and NaN, which are not JSON
+        (set_cell("final_incidence", 0, 0, float("inf")), "final_incidence[0][0]", "'Infinity'"),
+        (set_cell("effective_rates", 1, 1, float("-inf")), "effective_rates[1][1]", "'-Infinity'"),
+        (set_cell("final_incidence", 2, 3, float("nan")), "final_incidence[2][3]", "'NaN'"),
         (
             lambda record: record.update(report_components=["exports", "nope"]),
             "report_components[1]",
@@ -937,7 +975,10 @@ def set_cell(key, i, j, value):
             "'exports'",
         ),
     ],
-    ids=["list-cell", "string-cell", "true-cell", "object-rate", "unknown-component", "no-array"],
+    ids=[
+        "list-cell", "string-cell", "true-cell", "object-rate", "infinity-cell",
+        "minus-infinity-rate", "nan-cell", "unknown-component", "no-array",
+    ],
 )
 def test_diff_reads_only_numbers(demo_manifest, tmp_path, capsys, edit, where, got):
     compute_demo(demo_manifest, tmp_path / "a")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
@@ -20,6 +21,8 @@ from taxcascade.engine import with_totals
 from taxcascade.tables import MAX_LISTED_FAILURES
 from taxcascade.reporting import (
     ND,
+    _array_digest,
+    file_digest,
     format_number,
     write_final_incidence_table,
     write_first_stage_table,
@@ -306,3 +309,20 @@ def test_tables_can_render_all_components(tmp_path):
     )
     rows = read_csv(path)
     assert rows[0][2:] == [c.value for c in COMPONENT_ORDER] + ["total"]
+
+
+@pytest.mark.parametrize("shape", [(0,), (5,), (0, 3), (3, 0), (3, 150), (150, 3)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_array_digest_is_of_the_c_order_bytes(shape, order):
+    # hashed a block of rows at a time, a column-major table is never copied whole
+    a = np.asarray(np.random.default_rng(2).normal(size=shape), order=order)
+    for array in (a, a[::2]):
+        expected = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+        assert _array_digest(array) == expected
+
+
+def test_file_digest_streams_blocks(tmp_path):
+    # more than one block of 1 MiB
+    path = tmp_path / "table.csv"
+    path.write_bytes(bytes(range(256)) * 10_000)
+    assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
