@@ -173,7 +173,8 @@ class CheckResult:
 
     name: str
     passed: bool
-    residual: float | None = 0.0  # worst offending magnitude, 0 when clean, None if not finite
+    # worst offending magnitude, 0 when clean, None if not finite or not a magnitude
+    residual: float | None = 0.0
     # human-readable rows/cells that failed: the first MAX_LISTED_FAILURES,
     # then "... and k more" if there are more
     failures: tuple[str, ...] = ()
@@ -233,14 +234,28 @@ def _finite_cells(accounts: IOAccounts) -> CheckResult:
     return _result("finite_cells", failures, count, None if count else 0.0)
 
 
-def validate(accounts: IOAccounts) -> ValidationReport:
+def _margins(accounts: IOAccounts) -> CheckResult:
+    """The margin step's refusals, each a failure line naming all it lists."""
+    from .margins import refusals  # margins imports this module
+
+    found = refusals(accounts)
+    failures = tuple(f"{reason}: {', '.join(listing(names))}" for reason, names in found.items())
+    count = sum(len(names) for names in found.values())
+    # what fails is a missing weight or supply, not a magnitude
+    return CheckResult("margins", not count, None if count else 0.0, failures, count)
+
+
+def validate(accounts: IOAccounts, *, margins: bool = True) -> ValidationReport:
     """Run every accounting check and report diagnostics without raising.
 
     Checks: every cell finite, per-row supply balance, sign rules (flows and
     supply nonnegative, final demand nonnegative except inventory change),
-    margin-share range, and statutory-vs-destination consistency per row and
-    in total.  A bundle with a non-finite cell gets the finiteness check
-    alone, since every other check would compare NaN or inf.
+    margin-share range, statutory-vs-destination consistency per row and
+    in total, and, with ``margins``, that the margin step would run (see
+    :func:`taxcascade.margins.refusals`).  A bundle with a non-finite cell
+    gets the finiteness check alone, since every other check would compare
+    NaN or inf.  :func:`load_bundle` checks without ``margins``: the margin
+    step refuses by itself, unless ``--skip-margins`` skips it.
     """
     finite = _finite_cells(accounts)
     if not finite.passed:
@@ -310,6 +325,7 @@ def validate(accounts: IOAccounts) -> ValidationReport:
             total_residual,
             lambda _: f"statutory total {total:.6f} vs destination total {dest_total:.6f}",
         ),
+        *([_margins(accounts)] if margins else []),
     ))
 
 
@@ -598,7 +614,7 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
         raise BundleError(str(exc)) from None
 
     if check:
-        report = validate(accounts)
+        report = validate(accounts, margins=False)
         if not report.ok:
             lines = []
             for result in report.failed():

@@ -12,6 +12,7 @@ destination-column total, and total statutory tax are untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +79,69 @@ def _column_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _blocks(width: int) -> list[slice]:
+    return [slice(a, a + MARGIN_BLOCK) for a in range(0, width, MARGIN_BLOCK)]
+
+
+class _Stripped(NamedTuple):
+    """The margin rows' parts, as :func:`_strip` gives them, of the supply table and of
+    the tax table, and the weight base: the non-margin rows' supply into each column."""
+
+    supply_rows: np.ndarray  # flows beside final demand: a copy the step adjusts in place
+    supply_removed: np.ndarray
+    supply_pool: np.ndarray
+    supply_moved: float
+    tax_removed: np.ndarray
+    tax_pool: np.ndarray
+    tax_moved: float
+    weight_base: np.ndarray
+
+    @property
+    def needs(self) -> np.ndarray:
+        """The destination columns that margin supply or tax is moved into."""
+        return (self.supply_pool != 0) | (self.tax_pool != 0)
+
+
+def _strip_margins(accounts: IOAccounts, margin: np.ndarray) -> _Stripped:
+    mu = accounts.marginshares
+    supply_rows = np.hstack([accounts.flows, accounts.finaldemand])
+    # Each table's transient in _strip is freed before the next is made.
+    supply = _strip(supply_rows, margin, mu)
+    tax = _strip(accounts.taxdest.dest, margin, mu)
+    goods = ~margin
+    blocks = _blocks(supply_rows.shape[1])
+    weight_base = np.concatenate([_column_sums(supply_rows[:, b][goods]) for b in blocks])
+    return _Stripped(supply_rows, *supply, *tax, weight_base)
+
+
+def refusals(accounts: IOAccounts, stripped: _Stripped | None = None) -> dict[str, list[str]]:
+    """Why :func:`redistribute_margins` refuses ``accounts``: each reason, worded as its
+    :class:`MarginError` words it, with every activity or destination column it names.
+    Empty when the step can run.
+
+    The reasons, in the order the step raises them: a margin activity (positive
+    share) with zero supply, and a destination column that receives margin supply
+    or tax but no non-margin supply, so nothing weights its share-out.
+    ``stripped`` is the step's own :func:`_strip_margins`; without it, it is made here.
+    """
+    margin = accounts.marginshares > 0
+    if not margin.any():
+        return {}
+    stripped = stripped or _strip_margins(accounts, margin)
+    destinations = accounts.codes + tuple(c.value for c in COMPONENT_ORDER)
+    dead = margin & (accounts.supply == 0)
+    blocked = stripped.needs & (stripped.weight_base == 0)
+    found = {
+        "margin share set on zero-supply activities": dead,
+        "margin supply or tax destined to columns with no non-margin supply": blocked,
+    }
+    return {
+        reason: [destinations[i] for i in np.flatnonzero(bad)]
+        for reason, bad in found.items()
+        if bad.any()
+    }
+
+
 def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjustment]:
     """Strip margin output from margin activities and reassign it to goods rows.
 
@@ -88,9 +152,7 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     ``marginshares = 0`` and a supply vector recomputed from the adjusted
     rows, hence exact row balance.
 
-    Raises :class:`MarginError` when a margin activity has positive share but
-    zero supply, or when a destination column receives margin supply or tax
-    that no non-margin activity serves (zero reallocation weight base).
+    Raises :class:`MarginError` naming the first of :func:`refusals`.
     """
     mu = accounts.marginshares
     margin = mu > 0
@@ -102,39 +164,25 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
         zeros = np.zeros(n + N_COMPONENTS)
         return accounts, MarginAdjustment(codes, destinations, zeros, zeros, zeros, 0.0, 0.0)
 
-    dead = margin & (accounts.supply == 0)
-    if dead.any():
-        names = ", ".join(listing([codes[i] for i in np.flatnonzero(dead)]))
-        raise MarginError(f"margin share set on zero-supply activities: {names}")
-
-    # supply_rows becomes the adjusted supply table.  Each table's transient in
-    # _strip is freed before the tax table is copied; the blocks then adjust both.
-    supply_rows = np.hstack([accounts.flows, accounts.finaldemand])
-    supply_removed, supply_pool, supply_moved = _strip(supply_rows, margin, mu)
-    tax_removed, tax_pool, tax_moved = _strip(accounts.taxdest.dest, margin, mu)
-
+    stripped = _strip_margins(accounts, margin)
+    found = refusals(accounts, stripped)
+    if found:
+        reason, names = next(iter(found.items()))
+        raise MarginError(f"{reason}: {', '.join(listing(names))}")
+    supply_rows, weight_base, needs = stripped.supply_rows, stripped.weight_base, stripped.needs
     goods = ~margin
-    blocks = [slice(a, a + MARGIN_BLOCK) for a in range(0, n + N_COMPONENTS, MARGIN_BLOCK)]
-    weight_base = np.concatenate([_column_sums(supply_rows[:, b][goods]) for b in blocks])
-    needs = (supply_pool != 0) | (tax_pool != 0)
-    blocked = needs & (weight_base == 0)
-    if blocked.any():
-        names = ", ".join(listing([destinations[d] for d in np.flatnonzero(blocked)]))
-        raise MarginError(
-            f"margin supply or tax destined to columns with no non-margin supply: {names}"
-        )
 
     # Column-major only when both tables are, as the outputs have always been:
     # numpy's row sums round by memory order.
     tax_rows = accounts.taxdest.dest.copy(order="K" if supply_rows.flags.f_contiguous else "C")
-    for b in blocks:
+    for b in _blocks(n + N_COMPONENTS):
         weights = np.divide(
             supply_rows[:, b], weight_base[b],
             out=np.zeros((n, len(weight_base[b]))), where=goods[:, None] & needs[b],
         )
         for rows, removed, pool in (
-            (supply_rows, supply_removed, supply_pool),
-            (tax_rows, tax_removed, tax_pool),
+            (supply_rows, stripped.supply_removed, stripped.supply_pool),
+            (tax_rows, stripped.tax_removed, stripped.tax_pool),
         ):
             # Reallocated minus removed, in this order, so that the input and the
             # record rebuild these rows bit for bit by the rule in the README.
@@ -155,9 +203,9 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     return adjusted, MarginAdjustment(
         activity_codes=codes,
         destination_labels=destinations,
-        supply_pool=supply_pool,
-        tax_pool=tax_pool,
+        supply_pool=stripped.supply_pool,
+        tax_pool=stripped.tax_pool,
         weight_base=weight_base,
-        total_supply_moved=supply_moved,
-        total_tax_moved=tax_moved,
+        total_supply_moved=stripped.supply_moved,
+        total_tax_moved=stripped.tax_moved,
     )

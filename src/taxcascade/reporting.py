@@ -7,7 +7,10 @@ deterministic (fixed column order, fixed line endings, no timestamps) so that
 identical inputs produce identical bytes.
 
 Each fact of a run is in one file: ``result.json`` holds the numbers, ``audit.json``
-how the run went and ``system_digest.json`` the coefficient system.
+how the run went and ``system_digest.json`` the coefficient system.  ``result.json``
+is compact JSON, one line with sorted keys (``python -m json.tool`` indents it for
+reading); ``audit.json``, ``system_digest.json`` and ``validation_report.json`` are
+indented by :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -49,7 +52,11 @@ def _table_rows(activities, cells: list[list[float]], precision: int) -> list[li
 
 
 def write_json(data, path: str | Path) -> Path:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
+
+    For the small records (``audit.json``, ``system_digest.json`` and
+    ``validation_report.json``); ``result.json`` is compact, see :func:`write_result_json`.
+    """
     path = Path(path)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -162,8 +169,16 @@ def result_record(
 
 
 def write_result_json(record: dict, path: str | Path) -> Path:
-    """A :func:`result_record` as ``result.json``, the file ``diff`` reads."""
-    return write_json(record, path)
+    """A :func:`result_record` as ``result.json``, the file ``diff`` reads: compact JSON,
+    one line with sorted keys and no whitespace, then a newline.
+
+    Without ``indent`` json encodes in C; every number is written as :func:`write_json`
+    writes it.  ``python -m json.tool result.json`` shows it indented.
+    """
+    path = Path(path)
+    text = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def audit_record(

@@ -18,11 +18,13 @@ from taxcascade import (
     effective_rates,
     load_bundle,
     propagate_closed_form,
+    propagate_truncated,
     redistribute_margins,
     save_bundle,
 )
 from taxcascade.accounts import BundleError
-from taxcascade.tables import MAX_LISTED_FAILURES
+from taxcascade.reporting import result_record
+from taxcascade.tables import DEFAULT_REPORT_COMPONENTS, MAX_LISTED_FAILURES
 import taxcascade.cli as cli
 from taxcascade.cli import main
 
@@ -231,6 +233,55 @@ def test_validate_reports_invariant_failure(tmp_path, capsys):
     assert not by_name["row_balance"]["passed"]
 
 
+def refuse_margins(bundle, case):
+    """Edit a copy of the demo bundle, in directory ``bundle``, so that the margin step
+    refuses it naming ``case``.
+
+    ``"isflsf"`` moves trade's exports of 2 to isflsf, which no non-margin activity
+    supplies; ``"idle"`` adds a fourth activity with all-zero rows and margin share 0.5.
+    """
+    if case == "isflsf":
+        path = bundle / "finaldemand.csv"
+        path.write_text(path.read_text().replace("trade,2,0,38,0,0,0", "trade,0,0,38,2,0,0"))
+        return
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["activities"].append({"code": "idle", "label": "Idle"})
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    for name in manifest["tables"].values():
+        rows = read_csv(bundle / name)
+        if "farm" in rows[0]:  # a table with a column per activity
+            rows = [row + [cell] for row, cell in zip(rows, ["idle"] + ["0"] * len(rows))]
+        rows.append(["idle"] + ["0.5" if "marginshare" in rows[0] else "0"] * (len(rows[0]) - 1))
+        with open(bundle / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+MARGIN_REFUSALS = {
+    "isflsf": "margin supply or tax destined to columns with no non-margin supply: isflsf",
+    "idle": "margin share set on zero-supply activities: idle",
+}
+
+
+@pytest.mark.parametrize("case", MARGIN_REFUSALS)
+def test_validate_fails_bundles_the_margin_step_refuses(demo_manifest, tmp_path, capsys, case):
+    shutil.copytree(demo_manifest.parent, tmp_path / "bundle")
+    refuse_margins(tmp_path / "bundle", case)
+    manifest = tmp_path / "bundle" / demo_manifest.name
+    assert main(["validate", "--manifest", str(manifest), "--out", str(tmp_path / "v")]) == 1
+    out = capsys.readouterr().out
+    assert f"margins: FAIL (1 failure(s))\n  {MARGIN_REFUSALS[case]}\n" in out
+    report = {r["check"]: r for r in json.loads((tmp_path / "v" / "validation_report.json").read_text())}
+    assert [name for name, r in report.items() if not r["passed"]] == ["margins"]
+    assert report["margins"]["failures"] == [MARGIN_REFUSALS[case]]
+
+    assert main(["compute", "--manifest", str(manifest), "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().err == f"error: {MARGIN_REFUSALS[case]}\n"
+    assert not (tmp_path / "c").exists()
+    # without the margin step nothing refuses the bundle
+    skip = ["--skip-margins", "--out", str(tmp_path / "s")]
+    assert main(["compute", "--manifest", str(manifest), *skip]) == 0
+
+
 # -- compute -----------------------------------------------------------------
 
 
@@ -264,6 +315,38 @@ def test_compute_demo_outputs(demo_manifest, tmp_path, capsys):
     assert rows[-1][0] == "Total"
     assert rows[-1][-1] == "43.00"
     assert "final incidence 43.00" in capsys.readouterr().out
+
+
+#: The matrices of ``result.json``, one row per activity (and a Total row of rates).
+MATRICES = (
+    "first_stage_intermediate", "first_stage_final", "subsequent_stage", "final_incidence",
+    "effective_rates",
+)
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_result_json_is_one_compact_line_of_the_record(demo_manifest, tmp_path, truncated):
+    flags = ["--method", "truncated", "--tol", "1e-12", "--maxstages", "100000"] * truncated
+    out = tmp_path / "run"
+    args = ["compute", "--manifest", str(demo_manifest), "--threshold", "0", "--out", str(out)]
+    assert main(args + flags) == 0
+    text = (out / "result.json").read_text(encoding="utf-8")
+    loaded = json.loads(text)
+    assert text == json.dumps(loaded, separators=(",", ":"), sort_keys=True) + "\n"
+
+    adjusted, _ = redistribute_margins(load_bundle(demo_manifest))
+    system = build_system(adjusted)
+    if truncated:
+        result = propagate_truncated(system, tol=1e-12, maxstages=100000)
+    else:
+        result = propagate_closed_form(system)
+    report = effective_rates(result, adjusted.finaldemand, threshold=0.0)
+    record = result_record(result, report, components=DEFAULT_REPORT_COMPONENTS)
+    assert loaded == record
+    for key in MATRICES:
+        # every cell keeps its bits, -0.0 included
+        bits = [np.array(r[key], dtype=float).view(np.int64) for r in (loaded, record)]
+        np.testing.assert_array_equal(*bits, err_msg=key)
 
 
 def test_compute_matches_hand_solved_system(tmp_path, accounts_factory):
@@ -830,6 +913,14 @@ def test_diff_detects_doubling(demo_manifest, tmp_path):
     scenario.write_text("code,scale\nfarm,2\nmill,2\ntrade,2\n", encoding="utf-8")
     compute_demo(demo_manifest, tmp_path / "scen", "--scenario", str(scenario))
     diff = diff_runs(tmp_path / "base", tmp_path / "scen", tmp_path / "diff")["final_incidence"]
+    # diff reads any layout: an indented copy of the scenario's record diffs the same
+    shutil.copytree(tmp_path / "scen", tmp_path / "indented")
+    path = tmp_path / "indented" / "result.json"
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=2), encoding="utf-8")
+    diff_runs(tmp_path / "base", tmp_path / "indented", tmp_path / "diff_indented")
+    for name in ("final_incidence_diff.csv", "effective_rates_diff.csv"):
+        same = [(tmp_path / d / name).read_bytes() for d in ("diff", "diff_indented")]
+        assert same[0] == same[1], name
 
     # doubling all taxes doubles every incidence cell exactly, so each delta
     # is the baseline cell and each nonzero cell moves by exactly 100 percent

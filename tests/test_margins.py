@@ -1,6 +1,7 @@
 import csv
 import tracemalloc
 from dataclasses import fields
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -292,6 +293,49 @@ def test_tax_only_destination_also_needs_weights(accounts_factory):
     )
     with pytest.raises(MarginError, match="government"):
         redistribute_margins(accounts)
+
+
+def refused_accounts(accounts_factory):
+    """One bundle for each of the margin step's refusals, and for both at once."""
+    fd = np.zeros((3, 6))
+    fd[0, 2] = 10.0
+    fd[1, 2] = 5.0
+    dest = np.zeros((3, 9))
+    dest[1, 3 + 1] = 2.0  # margin tax destined to government, which no goods row serves
+    make = partial(accounts_factory, flows=np.zeros((3, 3)), finaldemand=fd)
+    return {
+        "dead": make(marginshares=[0.0, 0.0, 0.5]),
+        "blocked": make(dest=dest, marginshares=[0.0, 0.5, 0.0]),
+        "both": make(dest=dest, marginshares=[0.0, 0.5, 0.5]),
+    }
+
+
+@pytest.mark.parametrize("case", ["dead", "blocked", "both"])
+def test_validate_fails_what_the_margin_step_refuses(accounts_factory, case):
+    accounts = refused_accounts(accounts_factory)[case]
+    with pytest.raises(MarginError) as excinfo:
+        redistribute_margins(accounts)
+    report = validate(accounts)
+    [check] = report.failed()
+    assert check.name == "margins"
+    # the step raises the first refusal; validate lists every one
+    assert check.failures[0] == str(excinfo.value)
+    expected = {
+        "dead": ["margin share set on zero-supply activities: s02"],
+        "blocked": ["margin supply or tax destined to columns with no non-margin supply: "
+                    "government"],
+    }
+    assert list(check.failures) == expected.get(case, expected["dead"] + expected["blocked"])
+    assert (check.count, check.residual) == (len(check.failures), None)
+    # loading leaves this check to the margin step, which --skip-margins skips
+    assert validate(accounts, margins=False).ok
+
+
+def test_margins_check_passes_where_the_step_runs(demo_manifest):
+    accounts = load_bundle(demo_manifest)
+    assert margins.refusals(accounts) == {}
+    check = validate(accounts).checks[-1]
+    assert (check.name, check.passed, check.residual, check.count) == ("margins", True, 0.0, 0)
 
 
 def test_weights_come_from_supply_not_tax(accounts_factory):
