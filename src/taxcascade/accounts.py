@@ -10,6 +10,9 @@ Provides:
     - Activity, TaxDestinationTable, IOAccounts: value types.
     - load_bundle / save_bundle: manifest-driven ingestion and serialization of
       the five tables; no other manifest key (``metadata`` among them) is read.
+      Given a cache directory, load_bundle keeps the aligned tables of each
+      bundle it parses there, named by a hash of the bytes they were parsed
+      from, and reads them back instead of parsing the same bytes again.
     - read_table: the one reader of delimited text, bundle tables and
       ``--scenario`` files alike; a rejected file is named as ``file:line``.
     - validate: diagnostic checks that never raise, as a ValidationReport.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -499,6 +503,11 @@ def _placement(table: str, path: Path, wanted: list[str], rows: dict, header: li
     return [position[name] for name in wanted], rows
 
 
+def not_a_file(path: Path) -> str:
+    """Why ``path``, which is not a regular file, cannot be read as a table."""
+    return os.strerror(errno.EISDIR) if path.is_dir() else "regular file not found"
+
+
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
 
 
@@ -509,7 +518,109 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
+#: Entries the parsed-table cache keeps; storing one more deletes the least recently used.
+CACHE_ENTRIES = 8
+
+#: The modules that parse and align the tables: their source is part of every
+#: cache key, so that any change to the parser invalidates every entry.
+_PARSER_SOURCES = (Path(__file__), Path(__file__).with_name("tables.py"))
+
+
+def file_digest(path: str | Path) -> str:
+    """sha256 of a file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _cache_key(manifest: bytes, digests: list[str]) -> str:
+    """The name of the entry for the tables parsed from these bytes: the manifest's
+    and the tables' sha256 (``digests``, in :func:`_layout` order), with the
+    parser's source and numpy's version."""
+    parts = [hashlib.sha256(source.read_bytes()).hexdigest() for source in _PARSER_SOURCES]
+    parts += [np.__version__, hashlib.sha256(manifest).hexdigest(), *digests]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _read_entry(entry: Path, shapes: list[tuple[int, int]]) -> list[np.ndarray] | None:
+    """The arrays stored in ``entry``, or None unless it holds exactly one
+    column-major float64 array of each of ``shapes``; pickled data is never read."""
+    try:
+        with open(entry, "rb") as fh:
+            arrays = [np.load(fh, allow_pickle=False) for _ in shapes]
+            if fh.read(1):
+                return None
+    # a damaged header can claim any shape, even one too big to allocate
+    except (OSError, ValueError, EOFError, MemoryError):
+        return None
+    for a, shape in zip(arrays, shapes):
+        if a.dtype != np.float64 or a.shape != shape or not a.flags.f_contiguous:
+            return None
+    try:
+        os.utime(entry)  # the most recently used
+    except OSError:
+        pass
+    # np.save stores an array that is both C- and F-contiguous as C: give each
+    # the strides of read_table's column-major array
+    return [a.ravel("F").reshape(shape, order="F") for a, shape in zip(arrays, shapes)]
+
+
+def _write_entry(entry: Path, arrays: list[np.ndarray]) -> None:
+    """Store ``arrays`` as ``entry``, whole or not at all, then keep only the
+    :data:`CACHE_ENTRIES` most recently used entries beside it."""
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    partial_entry = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
+    try:
+        with open(partial_entry, "wb") as fh:
+            for a in arrays:
+                np.save(fh, a, allow_pickle=False)
+        os.replace(partial_entry, entry)
+    finally:
+        if partial_entry.exists():
+            partial_entry.unlink()
+    by_use = []
+    for other in entry.parent.glob("*.npy"):
+        try:
+            by_use.append((other.stat().st_mtime_ns, other))
+        except OSError:  # deleted by another process meanwhile
+            pass
+    for _, old in sorted(by_use, reverse=True)[CACHE_ENTRIES:]:
+        try:
+            old.unlink()
+        except OSError:
+            pass
+
+
+def _cached(directory: Path, manifest: bytes, files: list[Path], shapes, parse) -> list[np.ndarray]:
+    """``parse()``, the five aligned tables of ``files``, or what it returned
+    for the same bytes, read from ``directory``.
+
+    A miss parses, then stores the tables if the files still hold the bytes
+    hashed into the key; a table that fails to parse raises as without a
+    cache and stores nothing.  The cache never fails a load: an entry that
+    cannot be read is a miss, and one that cannot be written is skipped.
+    """
+    try:
+        digests = [file_digest(path) for path in files]
+        entry = directory / f"{_cache_key(manifest, digests)}.npy"
+    except OSError:
+        return parse()
+    arrays = _read_entry(entry, shapes)
+    if arrays is None:
+        arrays = parse()
+        try:
+            if [file_digest(path) for path in files] == digests:
+                _write_entry(entry, arrays)
+        except OSError:
+            pass
+    return arrays
+
+
+def load_bundle(
+    manifest_path: str | Path, *, check: bool = True, cache: str | Path | None = None
+) -> IOAccounts:
     """Load and align a bundle; raise :class:`BundleError` on any defect.
 
     The manifest is JSON with keys ``activities`` (list of codes or
@@ -524,10 +635,18 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
     With ``check=False`` only structural alignment is enforced; accounting
     invariants are skipped so that diagnostic callers can obtain a report via
     :func:`validate` instead.
+
+    With a ``cache`` directory, the five aligned tables are read from the
+    entry named by the sha256 of the manifest, of the five tables, of this
+    parser's source and of numpy's version, if it is there; else they are
+    parsed and stored as that entry.  Everything else runs as without it, on
+    the same arrays bit for bit.
     """
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        data = manifest_path.read_bytes()
+        # decoded as read_text decodes, from the bytes the cache key hashes
+        manifest = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except FileNotFoundError:
         raise BundleError(f"manifest not found: {manifest_path}") from None
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -590,14 +709,24 @@ def load_bundle(manifest_path: str | Path, *, check: bool = True) -> IOAccounts:
         where = f"{manifest_path}: tables[{name!r}]"
         paths[name] = path = manifest_path.parent / _expect(rel, str, where)
         if not path.is_file():
-            what = os.strerror(errno.EISDIR) if path.is_dir() else "regular file not found"
-            raise BundleError(f"{where}: {what}: {path}")
+            raise BundleError(f"{where}: {not_a_file(path)}: {path}")
 
     rows = {code: i for i, code in enumerate(codes)}
-    aligned = {}
-    for name, wanted, _ in layout:
-        place = partial(_placement, name, paths[name], wanted, rows)
-        aligned[name] = read_table(paths[name], delimiter, place)[2]
+
+    def parse() -> list[np.ndarray]:
+        arrays = []
+        for name, wanted, _ in layout:
+            place = partial(_placement, name, paths[name], wanted, rows)
+            arrays.append(read_table(paths[name], delimiter, place)[2])
+        return arrays
+
+    if cache is None:
+        arrays = parse()
+    else:
+        files = [paths[name] for name, _, _ in layout]
+        shapes = [(len(codes), len(wanted)) for _, wanted, _ in layout]
+        arrays = _cached(Path(cache), data, files, shapes, parse)
+    aligned = {name: array for (name, _, _), array in zip(layout, arrays)}
 
     try:
         accounts = IOAccounts(

@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 1 when validation, computation, or convergence
 fails, 2 on usage errors.  All outputs are deterministic: rerunning the same
-command on the same bundle reproduces every output file byte for byte.
+command on the same bundle reproduces every output file byte for byte, with
+the BLAS libraries on one thread unless the environment sets their count.
+``validate`` and ``compute`` keep the parsed tables of each bundle in
+:func:`cache_directory`; a rerun on unchanged files reads them from there.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ if TYPE_CHECKING:
 #: through these globals: ``bench/run.py --trace 1`` wraps every name it lists
 #: (``save_bundle`` too, which nothing here calls) by setting it on this module.
 _PIPELINE = {
-    "accounts": ("BundleError", "load_bundle", "read_table", "save_bundle", "validate"),
+    "accounts": (
+        "BundleError", "load_bundle", "not_a_file", "read_table", "save_bundle", "validate",
+    ),
     "engine": (
         "SingularSystemError", "apply_scenario", "build_system", "propagate_closed_form",
         "propagate_truncated",
@@ -70,9 +75,23 @@ def __getattr__(name: str):
 #: Environment variable giving the default output directory.
 OUTPUT_DIR_ENV = "TAXCASCADE_OUT"
 
+#: Thread counts of the BLAS libraries numpy may use.  One thread unless set:
+#: a solve splits its sums by thread count, so each count rounds differently.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _default_out() -> str:
     return os.environ.get(OUTPUT_DIR_ENV, "taxcascade-out")
+
+
+def cache_directory() -> Path | None:
+    """Where ``validate`` and ``compute`` keep parsed tables (see
+    :func:`taxcascade.accounts.load_bundle`): ``$XDG_CACHE_HOME/taxcascade``,
+    or ``~/.cache/taxcascade``; None, and no cache, without an absolute home."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative, which XDG ignores
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "taxcascade") if os.path.isabs(base) else None
 
 
 def _components_arg(text: str) -> tuple[DemandComponent, ...]:
@@ -161,7 +180,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return 2
     _load_pipeline()
     try:
-        report = validate(load_bundle(manifest, check=False))
+        report = validate(load_bundle(manifest, check=False, cache=cache_directory()))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = write_json(report.to_records(), out / "validation_report.json")
@@ -186,6 +205,8 @@ def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
     """Scale factors by activity from a ``code,scale`` file, read as bundle tables are."""
     import numpy as np
 
+    if not path.is_file():
+        raise ValueError(f"--scenario: {not_a_file(path)}: {path}")
     header, codes, values = read_table(path, ",")
     if [name.lower() for name in header] != ["code", "scale"]:
         raise ValueError(f"{path}: expected the header code,scale, got {header}")
@@ -206,7 +227,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     _load_pipeline()
     out = Path(args.out)
     try:
-        accounts = load_bundle(manifest)
+        accounts = load_bundle(manifest, cache=cache_directory())
         print(f"loaded {accounts.n} activities from {manifest}")
 
         if args.scenario:
@@ -305,6 +326,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:  # read when numpy loads its BLAS
+        for name in BLAS_THREADS:
+            os.environ.setdefault(name, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "compute" and args.method == "truncated":

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .accounts import file_digest
 from .engine import (
     CONDITION_LIMIT, CONSERVATION_RTOL, INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult
 )
@@ -224,14 +225,6 @@ def audit_record(
         "scenario": scenario,
         "outputs": sorted(outputs),
     }
-
-
-def file_digest(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def bundle_digests(manifest_path: str | Path) -> dict:

@@ -13,6 +13,16 @@ from oracles import make_activities
 DATA = Path(__file__).parent / "data"
 
 
+@pytest.fixture(scope="session", autouse=True)
+def parsed_table_cache(tmp_path_factory) -> Path:
+    """The suite's cache of parsed tables, for every command it runs in
+    process or in a subprocess: never the user's ``~/.cache``."""
+    directory = tmp_path_factory.mktemp("xdg_cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(directory))
+        yield directory
+
+
 @pytest.fixture()
 def demo_manifest() -> Path:
     return DATA / "demo_bundle" / "manifest.json"

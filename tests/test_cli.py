@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -462,6 +463,22 @@ def test_compute_rejects_missing_scenario_file(demo_manifest, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "entry, problem", [("nowhere.csv", "regular file not found"), (".", "Is a directory")],
+    ids=["missing", "directory"],
+)
+def test_scenario_that_is_not_a_file_names_the_option(
+    demo_manifest, tmp_path, capsys, entry, problem
+):
+    scenario = tmp_path / entry
+    assert main([
+        "compute", "--manifest", str(demo_manifest), "--scenario", str(scenario),
+        "--out", str(tmp_path / "run"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: --scenario: {problem}: {scenario}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
     "text, same_as",
     [
         # the header is matched with spaces and case aside
@@ -622,6 +639,29 @@ def test_compute_is_byte_deterministic(demo_manifest, tmp_path):
     assert files1 == files2
     for rel in files1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: the BLAS runs one thread anyway")
+def test_outputs_do_not_depend_on_the_core_count(tmp_path, accounts_factory):
+    # a solve splits its sums by BLAS thread count: the command line pins one
+    # thread unless the environment sets a count
+    rng = np.random.default_rng(7)
+    flows = rng.random((200, 200)) * (rng.random((200, 200)) < 0.2)
+    fd = rng.random((200, 6)) * 10
+    accounts = accounts_factory(flows, fd, dest=np.hstack([flows, fd]) * 0.1)
+    manifest = save_bundle(accounts, tmp_path / "bundle")
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in threads}
+    records = []
+    for env in (unset, {**unset, **dict.fromkeys(threads, "1")}):
+        out = tmp_path / f"out{len(records)}"
+        subprocess.run(
+            [sys.executable, "-m", "taxcascade", "compute",
+             "--manifest", str(manifest), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        records.append((out / "result.json").read_bytes())
+    assert records[0] == records[1]
 
 
 def test_compute_skip_margins(demo_manifest, tmp_path):
