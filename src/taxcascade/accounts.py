@@ -129,6 +129,7 @@ class IOAccounts:
     supply: np.ndarray  # (n,)
     taxdest: TaxDestinationTable
     marginshares: np.ndarray  # (n,) in [0, 1]; > 0 marks a margin activity
+    sources: dict[str, tuple[str, str]] | None = None  # (path, sha256) by file, see load_bundle
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "activities", tuple(self.activities))
@@ -400,9 +401,22 @@ def _first_defect(path: Path, header: list[str], numbers, lines, seen: set[str],
     raise BundleError(f"{path}: numpy's parser rejects the table")
 
 
-def read_table(path: Path, delimiter: str, place=None) -> tuple[list[str], list[str], np.ndarray]:
+class _Hashing(io.FileIO):
+    """A file opened to read that feeds each byte it gives to :attr:`sha256`."""
+
+    def __init__(self, path: Path) -> None:
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+
+def read_table(path: Path, delimiter: str, place=None) -> tuple[list, list, np.ndarray, str]:
     """Read one table: its header, code column first, its row codes in file
-    order and the matrix of its values, one row per code.
+    order, the matrix of its values, one row per code, and the sha256 of its bytes.
 
     numpy's C parser reads :data:`PARSE_ROWS` lines at a time, with no Python
     object per cell; blank lines, and lines of delimiters and spaces, are
@@ -414,8 +428,9 @@ def read_table(path: Path, delimiter: str, place=None) -> tuple[list[str], list[
     chunks are then stored as parsed into one column-major matrix.
     """
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            return _read_lines(path, fh, delimiter, place)
+        with _Hashing(path) as raw:
+            fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
+            return (*_read_lines(path, fh, delimiter, place), raw.sha256.hexdigest())
     except FileNotFoundError:
         raise BundleError(f"table file not found: {path}") from None
     except UnicodeDecodeError:
@@ -521,6 +536,10 @@ def _expect(value, kind: type, where: str):
 #: Entries the parsed-table cache keeps; storing one more deletes the least recently used.
 CACHE_ENTRIES = 8
 
+#: Bytes the parsed-table cache keeps, evicting as :data:`CACHE_ENTRIES` does;
+#: an entry larger than this is not stored.
+CACHE_BYTES = 256 << 20
+
 #: The modules that parse and align the tables: their source is part of every
 #: cache key, so that any change to the parser invalidates every entry.
 _PARSER_SOURCES = (Path(__file__), Path(__file__).with_name("tables.py"))
@@ -535,12 +554,12 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _cache_key(manifest: bytes, digests: list[str]) -> str:
+def _cache_key(manifest: str, digests: list[str]) -> str:
     """The name of the entry for the tables parsed from these bytes: the manifest's
     and the tables' sha256 (``digests``, in :func:`_layout` order), with the
     parser's source and numpy's version."""
     parts = [hashlib.sha256(source.read_bytes()).hexdigest() for source in _PARSER_SOURCES]
-    parts += [np.__version__, hashlib.sha256(manifest).hexdigest(), *digests]
+    parts += [np.__version__, manifest, *digests]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
@@ -568,14 +587,19 @@ def _read_entry(entry: Path, shapes: list[tuple[int, int]]) -> list[np.ndarray] 
 
 
 def _write_entry(entry: Path, arrays: list[np.ndarray]) -> None:
-    """Store ``arrays`` as ``entry``, whole or not at all, then keep only the
-    :data:`CACHE_ENTRIES` most recently used entries beside it."""
+    """Store ``arrays`` as ``entry``, whole or not at all, unless it would be
+    larger than :data:`CACHE_BYTES`; then keep only the most recently used
+    entries beside it, at most :data:`CACHE_ENTRIES` and :data:`CACHE_BYTES`."""
+    if sum(a.nbytes for a in arrays) > CACHE_BYTES:  # not even written
+        return
     entry.parent.mkdir(parents=True, exist_ok=True)
     partial_entry = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
     try:
         with open(partial_entry, "wb") as fh:
             for a in arrays:
                 np.save(fh, a, allow_pickle=False)
+            if fh.tell() > CACHE_BYTES:  # the arrays' headers tipped it over
+                return
         os.replace(partial_entry, entry)
     finally:
         if partial_entry.exists():
@@ -583,39 +607,41 @@ def _write_entry(entry: Path, arrays: list[np.ndarray]) -> None:
     by_use = []
     for other in entry.parent.glob("*.npy"):
         try:
-            by_use.append((other.stat().st_mtime_ns, other))
+            stat = other.stat()
         except OSError:  # deleted by another process meanwhile
-            pass
-    for _, old in sorted(by_use, reverse=True)[CACHE_ENTRIES:]:
-        try:
-            old.unlink()
-        except OSError:
-            pass
+            continue
+        by_use.append((stat.st_mtime_ns, stat.st_size, other))
+    kept = 0
+    for k, (_, size, old) in enumerate(sorted(by_use, reverse=True)):
+        kept += size
+        if k >= CACHE_ENTRIES or kept > CACHE_BYTES:
+            try:
+                old.unlink()
+            except OSError:
+                pass
 
 
-def _cached(directory: Path, manifest: bytes, files: list[Path], shapes, parse) -> list[np.ndarray]:
-    """``parse()``, the five aligned tables of ``files``, or what it returned
-    for the same bytes, read from ``directory``.
+def _cached(directory: Path, manifest: str, files: list[Path], shapes, parse):
+    """``parse()``, the five aligned tables of ``files`` and the sha256 of each
+    one's bytes, or what it returned for the same bytes, read from ``directory``.
 
-    A miss parses, then stores the tables if the files still hold the bytes
-    hashed into the key; a table that fails to parse raises as without a
-    cache and stores nothing.  The cache never fails a load: an entry that
-    cannot be read is a miss, and one that cannot be written is skipped.
+    A miss parses, then stores the tables under the key of the bytes parsed,
+    not of those hashed for the lookup; a table that fails to parse raises as
+    without a cache and stores nothing.  The cache never fails a load: an entry
+    that cannot be read is a miss, and one that cannot be written is skipped.
     """
     try:
         digests = [file_digest(path) for path in files]
-        entry = directory / f"{_cache_key(manifest, digests)}.npy"
+        arrays = _read_entry(directory / f"{_cache_key(manifest, digests)}.npy", shapes)
     except OSError:
-        return parse()
-    arrays = _read_entry(entry, shapes)
+        arrays = None
     if arrays is None:
-        arrays = parse()
+        arrays, digests = parse()
         try:
-            if [file_digest(path) for path in files] == digests:
-                _write_entry(entry, arrays)
+            _write_entry(directory / f"{_cache_key(manifest, digests)}.npy", arrays)
         except OSError:
             pass
-    return arrays
+    return arrays, digests
 
 
 def load_bundle(
@@ -628,8 +654,8 @@ def load_bundle(
     component names in the order used by this bundle's files), ``tables``
     (mapping of table name to file path, relative to the manifest), and
     optionally ``delimiter`` ("," default, or ";").  Every ``tables`` entry
-    must name a regular file, since the run record hashes each one, but only
-    the five tables are read; any other key, such as a descriptive
+    must name a regular file, read once for its path and sha256 in ``sources``,
+    but only the five tables are parsed; any other key, such as a descriptive
     ``metadata`` block, is not read.
 
     With ``check=False`` only structural alignment is enforced; accounting
@@ -639,8 +665,8 @@ def load_bundle(
     With a ``cache`` directory, the five aligned tables are read from the
     entry named by the sha256 of the manifest, of the five tables, of this
     parser's source and of numpy's version, if it is there; else they are
-    parsed and stored as that entry.  Everything else runs as without it, on
-    the same arrays bit for bit.
+    parsed and stored under the name of the bytes parsed.  Everything else
+    runs as without it, on the same arrays bit for bit.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -652,6 +678,7 @@ def load_bundle(
     except ValueError as exc:  # not UTF-8, or not JSON
         raise BundleError(f"{manifest_path}: invalid JSON ({exc})") from None
     _expect(manifest, dict, f"{manifest_path}: the manifest")
+    sources = {"manifest": (manifest_path.name, hashlib.sha256(data).hexdigest())}
 
     for key in ("activities", "components", "tables"):
         if key not in manifest:
@@ -713,20 +740,23 @@ def load_bundle(
 
     rows = {code: i for i, code in enumerate(codes)}
 
-    def parse() -> list[np.ndarray]:
-        arrays = []
-        for name, wanted, _ in layout:
-            place = partial(_placement, name, paths[name], wanted, rows)
-            arrays.append(read_table(paths[name], delimiter, place)[2])
-        return arrays
+    def parse() -> tuple[list[np.ndarray], list[str]]:
+        read = [
+            read_table(paths[name], delimiter, partial(_placement, name, paths[name], wanted, rows))
+            for name, wanted, _ in layout
+        ]
+        return [table[2] for table in read], [table[3] for table in read]
 
     if cache is None:
-        arrays = parse()
+        arrays, digests = parse()
     else:
         files = [paths[name] for name, _, _ in layout]
         shapes = [(len(codes), len(wanted)) for _, wanted, _ in layout]
-        arrays = _cached(Path(cache), data, files, shapes, parse)
+        arrays, digests = _cached(Path(cache), sources["manifest"][1], files, shapes, parse)
     aligned = {name: array for (name, _, _), array in zip(layout, arrays)}
+    hashed = dict(zip(aligned, digests))
+    for name, rel in tables.items():  # any entry not parsed is hashed here, once
+        sources[name] = (rel, hashed.get(name) or file_digest(paths[name]))
 
     try:
         accounts = IOAccounts(
@@ -738,6 +768,7 @@ def load_bundle(
                 dest=aligned["taxdest"][:, 1:], statutory=aligned["taxdest"][:, 0]
             ),
             marginshares=aligned["marginshares"][:, 0],
+            sources=sources,
         )
     except ValueError as exc:
         raise BundleError(str(exc)) from None

@@ -201,13 +201,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
-    """Scale factors by activity from a ``code,scale`` file, read as bundle tables are."""
+def _read_scenario(path: Path, accounts: IOAccounts) -> tuple[np.ndarray, str]:
+    """Scale factors by activity from a ``code,scale`` file, read as bundle tables are,
+    and the sha256 of the bytes read."""
     import numpy as np
 
     if not path.is_file():
         raise ValueError(f"--scenario: {not_a_file(path)}: {path}")
-    header, codes, values = read_table(path, ",")
+    header, codes, values, digest = read_table(path, ",")
     if [name.lower() for name in header] != ["code", "scale"]:
         raise ValueError(f"{path}: expected the header code,scale, got {header}")
     index = {code: i for i, code in enumerate(accounts.codes)}
@@ -216,7 +217,7 @@ def _read_scenario(path: Path, accounts: IOAccounts) -> np.ndarray:
         raise ValueError(f"{path}: unknown activity codes: {', '.join(listing(unknown))}")
     scale = np.ones(accounts.n)
     scale[[index[code] for code in codes]] = values[:, 0]
-    return scale
+    return scale, digest
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -228,10 +229,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
         accounts = load_bundle(manifest, cache=cache_directory())
+        bundle = bundle_digests(accounts)
         print(f"loaded {accounts.n} activities from {manifest}")
 
+        scenario = None
         if args.scenario:
-            accounts = apply_scenario(accounts, _read_scenario(Path(args.scenario), accounts))
+            scale, digest = _read_scenario(Path(args.scenario), accounts)
+            accounts = apply_scenario(accounts, scale)
+            scenario = {"path": args.scenario, "sha256": digest}
             print(f"applied scenario scales from {args.scenario}")
 
         adjustment = None
@@ -257,9 +262,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             result = propagate_closed_form(system)
         report = effective_rates(result, expenditure, threshold=args.threshold)
 
-        # Every check has passed and every input file is hashed; only now does
-        # anything reach --out.
-        bundle = bundle_digests(manifest)
+        # Every check has passed; only now does anything reach --out.
         out.mkdir(parents=True, exist_ok=True)
         written = []
         if adjustment is not None:
@@ -277,7 +280,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         outputs = [path.relative_to(out).as_posix() for path in written] + ["audit.json"]
         audit = audit_record(
             result, report, adjustment, bundle=bundle,
-            manifest=str(args.manifest), scenario=args.scenario, tol=args.tol,
+            manifest=str(args.manifest), scenario=scenario, tol=args.tol,
             maxstages=args.maxstages, threshold=args.threshold, outputs=outputs,
         )
         write_json(audit, out / "audit.json")

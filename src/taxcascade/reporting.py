@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounts import file_digest
+from .accounts import IOAccounts
 from .engine import (
     CONDITION_LIMIT, CONSERVATION_RTOL, INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult
 )
@@ -184,12 +184,13 @@ def write_result_json(record: dict, path: str | Path) -> Path:
 
 def audit_record(
     result: IncidenceResult, report: RateReport, adjustment: MarginAdjustment | None, *,
-    bundle: dict, manifest: str, scenario: str | None, tol: float | None,
+    bundle: dict, manifest: str, scenario: dict | None, tol: float | None,
     maxstages: int | None, threshold: float, outputs: list[str],
 ) -> dict:
-    """How a run went, ``audit.json``: its inputs (``bundle`` from :func:`bundle_digests`),
-    method, convergence, tolerances, margin totals (None without an ``adjustment``),
-    solve, component shares, diagnostics and ``outputs``."""
+    """How a run went, ``audit.json``: its inputs (``bundle`` from :func:`bundle_digests`,
+    ``scenario`` the ``--scenario`` file's path and sha256, or None), method,
+    convergence, tolerances, margin totals (None without an ``adjustment``), solve,
+    component shares, diagnostics and ``outputs``."""
     return {
         "method": result.method,
         "stages": result.stages,
@@ -227,11 +228,6 @@ def audit_record(
     }
 
 
-def bundle_digests(manifest_path: str | Path) -> dict:
-    """sha256 of the manifest and of every file it references, which load_bundle checked."""
-    manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    files = {"manifest": {"path": manifest_path.name, "sha256": file_digest(manifest_path)}}
-    for name, rel in sorted(manifest["tables"].items()):
-        files[name] = {"path": rel, "sha256": file_digest(manifest_path.parent / rel)}
-    return files
+def bundle_digests(accounts: IOAccounts) -> dict:
+    """``audit.json``'s ``bundle``, from :attr:`IOAccounts.sources`: opens no file."""
+    return {name: {"path": p, "sha256": d} for name, (p, d) in accounts.sources.items()}

@@ -3,9 +3,12 @@ damaged entry is a miss, a changed byte is a new key, and no command's output
 depends on the cache."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -153,22 +156,40 @@ def test_a_table_that_fails_to_parse_is_never_cached(demo_manifest, tmp_path):
     assert not entries(cache)
 
 
-def test_a_file_edited_while_parsed_is_not_stored(demo_manifest, tmp_path, monkeypatch):
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_table_rewritten_after_the_lookup_is_named_by_the_bytes_parsed(
+    demo_manifest, tmp_path, monkeypatch
+):
     shutil.copytree(demo_manifest.parent, tmp_path / "bundle")
     manifest = tmp_path / "bundle" / demo_manifest.name
-    supply = manifest.parent / "supply.csv"
-    read_table = accounts.read_table
+    shares = manifest.parent / "marginshares.csv"
+    hashed = shares.read_bytes()
+    file_digest = accounts.file_digest
 
-    def editing(path, *args, **kwargs):
-        table = read_table(path, *args, **kwargs)
-        if path == supply:  # parsed, then changed before the cache hashes it again
-            supply.write_text(supply.read_text(encoding="utf-8") + "\n", encoding="utf-8")
-        return table
+    def rewriting(path):
+        digest = file_digest(path)
+        if path == shares and shares.read_bytes() == hashed:  # hashed for the lookup, then changed
+            shares.write_text("code,marginshare\nfarm,0\nmill,0\ntrade,0.5\n", encoding="utf-8")
+        return digest
 
-    monkeypatch.setattr(accounts, "read_table", editing)
-    cache = tmp_path / "cache"
-    load_bundle(manifest, cache=cache)
-    assert not entries(cache)
+    monkeypatch.setattr(accounts, "file_digest", rewriting)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert main(["compute", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 0
+    assert shares.read_bytes() != hashed
+    audit = json.loads((tmp_path / "out" / "audit.json").read_text(encoding="utf-8"))
+    assert audit["bundle"]["marginshares"]["sha256"] == sha256(shares)
+    # the one entry stored is named by the bytes parsed, not those hashed for the lookup
+    cache = tmp_path / "xdg" / "taxcascade"
+    tables = [manifest.parent / f"{name}.csv" for name, _, _ in _layout(())]
+    key = accounts._cache_key(sha256(manifest), [sha256(path) for path in tables])
+    assert entries(cache) == {cache / f"{key}.npy"}
+    parsed = load_bundle(manifest)
+    assert parsed.marginshares.tolist() == [0.0, 0.0, 0.5]
+    with mock.patch.object(accounts, "read_table", side_effect=AssertionError("parsed")):
+        assert_same_load(load_bundle(manifest, cache=cache), parsed)
 
 
 def test_changing_one_byte_of_any_file_gives_a_new_key(demo_manifest, tmp_path):
@@ -189,8 +210,8 @@ def test_changing_one_byte_of_any_file_gives_a_new_key(demo_manifest, tmp_path):
 
 
 def test_the_key_covers_the_parser_source_and_numpy(tmp_path, monkeypatch):
-    digests = [str(k) * 64 for k in range(5)]
-    keys = {accounts._cache_key(b"{}", digests)}
+    manifest, digests = "f" * 64, [str(k) * 64 for k in range(5)]
+    keys = {accounts._cache_key(manifest, digests)}
     sources = accounts._PARSER_SOURCES
     assert {path.name for path in sources} == {"accounts.py", "tables.py"}
     for k, source in enumerate(sources):
@@ -198,31 +219,70 @@ def test_the_key_covers_the_parser_source_and_numpy(tmp_path, monkeypatch):
         edited.write_bytes(source.read_bytes() + b"\n")
         with monkeypatch.context() as patch:
             patch.setattr(accounts, "_PARSER_SOURCES", (*sources[:k], edited, *sources[k + 1 :]))
-            keys.add(accounts._cache_key(b"{}", digests))
+            keys.add(accounts._cache_key(manifest, digests))
     monkeypatch.setattr(np, "__version__", "0.0.0")
-    keys.add(accounts._cache_key(b"{}", digests))
+    keys.add(accounts._cache_key(manifest, digests))
     assert len(keys) == 4
+
+
+def relabelled(demo_manifest: Path, directory: Path, k: int) -> Path:
+    """A copy of the demo bundle with a distinct manifest and the same tables."""
+    shutil.copytree(demo_manifest.parent, directory)
+    manifest = directory / demo_manifest.name
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    data["activities"][0]["label"] = f"farm {k}"
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    return manifest
+
+
+def store(manifest: Path, cache: Path, k: int) -> Path:
+    """Load ``manifest`` on a miss, and date its new entry ``k`` seconds after 1970:
+    older than any use of the cache to come."""
+    before = entries(cache)
+    load_bundle(manifest, cache=cache)
+    [entry] = entries(cache) - before
+    os.utime(entry, ns=(k * 10**9, k * 10**9))
+    return entry
 
 
 def test_the_cache_keeps_the_most_recently_used_entries(demo_manifest, tmp_path):
     cache = tmp_path / "cache"
     keys = []
     for k in range(10):
-        directory = tmp_path / f"bundle{k}"
-        shutil.copytree(demo_manifest.parent, directory)
-        manifest = directory / demo_manifest.name
-        data = json.loads(manifest.read_text(encoding="utf-8"))
-        data["activities"][0]["label"] = f"farm {k}"  # a distinct manifest, the same tables
-        manifest.write_text(json.dumps(data), encoding="utf-8")
-        before = entries(cache)
-        load_bundle(manifest, cache=cache)
-        [entry] = entries(cache) - before
-        # used k seconds after 1970: older than any use of the cache to come
-        os.utime(entry, ns=(k * 10**9, k * 10**9))
-        keys.append(entry)
+        keys.append(store(relabelled(demo_manifest, tmp_path / f"bundle{k}", k), cache, k))
         if k == 5:  # a hit on the first makes it the most recently used
             load_bundle(tmp_path / "bundle0" / demo_manifest.name, cache=cache)
     assert entries(cache) == {keys[0], *keys[3:]}
+
+
+def test_the_cache_evicts_the_oldest_entries_past_its_byte_bound(
+    demo_manifest, tmp_path, monkeypatch
+):
+    cache = tmp_path / "cache"
+    keys = [store(relabelled(demo_manifest, tmp_path / "bundle0", 0), cache, 0)]
+    size = keys[0].stat().st_size  # every demo entry has this size
+    monkeypatch.setattr(accounts, "CACHE_BYTES", 2 * size + size // 2)
+    for k in range(1, 4):
+        keys.append(store(relabelled(demo_manifest, tmp_path / f"bundle{k}", k), cache, k))
+        assert entries(cache) == set(keys[-2:])
+
+
+@pytest.mark.parametrize("over", ["arrays", "headers"])
+def test_an_entry_past_the_byte_bound_is_not_stored(demo_manifest, tmp_path, monkeypatch, over):
+    cache = tmp_path / "cache"
+    stored = store(relabelled(demo_manifest, tmp_path / "bundle0", 0), cache, 0)
+    manifest = relabelled(demo_manifest, tmp_path / "bundle1", 1)
+    parsed = load_bundle(manifest)
+    size = stored.stat().st_size  # the new entry's size too: the arrays, then their headers
+    arrays = sum(8 * parsed.n * len(columns) for _, columns, _ in _layout(parsed.codes))
+    assert arrays < size
+    monkeypatch.setattr(accounts, "CACHE_BYTES", (arrays if over == "arrays" else size) - 1)
+    before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in cache.iterdir()}
+    # arrays alone past the bound are not even written
+    unwritten = AssertionError("written") if over == "arrays" else None
+    with mock.patch.object(np, "save", wraps=np.save, side_effect=unwritten):
+        assert_same_load(load_bundle(manifest, cache=cache), parsed)
+    assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in cache.iterdir()} == before
 
 
 def test_an_unusable_cache_directory_changes_no_output(
@@ -289,3 +349,68 @@ def test_cold_and_warm_commands_write_the_same_bytes(
     named = (f"flows: {codes[9]} / {codes[11]}: nan", f"supply: {codes[19]} / supply: inf")
     for (_, printed, _), cell in zip(runs["cold"][5:], named):
         assert cell in printed.out
+
+
+#: Runs ``cli.main`` on argv[2:] and prints, as its last line, how often each
+#: file of the bundle directory argv[1] was opened.
+COUNTING_OPENS = """
+import collections, json, os, sys
+bundle = os.path.realpath(sys.argv[1])
+opened = collections.Counter()
+
+def count(event, args):
+    if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        path = os.path.realpath(os.fsdecode(args[0]))
+        if os.path.dirname(path) == bundle:
+            opened[os.path.basename(path)] += 1
+
+sys.addaudithook(count)
+from taxcascade.cli import main
+rc = main(sys.argv[2:])
+print(json.dumps(opened))
+sys.exit(rc)
+"""
+
+
+def opens(bundle: Path, *argv: str) -> dict[str, int]:
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNTING_OPENS, str(bundle), *argv],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def digests_by_rehashing(manifest: Path) -> dict:
+    """``audit.json``'s ``bundle`` as it was built after the run: the manifest
+    parsed again, and each file it names hashed again."""
+    tables = json.loads(manifest.read_text(encoding="utf-8"))["tables"]
+    files = {"manifest": {"path": manifest.name, "sha256": sha256(manifest)}}
+    for name, rel in sorted(tables.items()):
+        files[name] = {"path": rel, "sha256": sha256(manifest.parent / rel)}
+    return files
+
+
+def test_each_bundle_file_is_read_once_warm_and_each_table_twice_cold(
+    demo_manifest, tmp_path, monkeypatch
+):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(demo_manifest.parent, bundle)
+    manifest = bundle / demo_manifest.name
+    (bundle / "notes.txt").write_text("sources of the demonstration tables\n", encoding="utf-8")
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    data["tables"]["notes"] = "notes.txt"  # hashed into audit.json, never parsed
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    tables = {f"{name}.csv" for name, _, _ in _layout(())}
+    once = {path.name: 1 for path in bundle.iterdir()}
+    assert len(once) == 7
+    compute = ["compute", "--manifest", str(manifest), "--out"]
+
+    cold = opens(bundle, *compute, str(tmp_path / "cold"))
+    assert cold == {name: 2 if name in tables else 1 for name in once}
+    assert opens(bundle, *compute, str(tmp_path / "warm")) == once
+    assert opens(bundle, "validate", "--manifest", str(manifest), "--out", str(tmp_path / "v")) == once
+    for run in ("cold", "warm"):
+        audit = json.loads((tmp_path / run / "audit.json").read_text(encoding="utf-8"))
+        assert audit["bundle"] == digests_by_rehashing(manifest)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -378,7 +379,12 @@ def test_compute_scenario_scaling(demo_manifest, tmp_path):
     result = json.loads((out / "result.json").read_text())
     assert result["totals"]["statutory"] == pytest.approx(13.0)
     audit = json.loads((out / "audit.json").read_text())
-    assert audit["scenario"] == str(scenario)
+    # the bytes read, named as a bundle file is
+    sha256 = hashlib.sha256(scenario.read_bytes()).hexdigest()
+    assert audit["scenario"] == {"path": str(scenario), "sha256": sha256}
+    baseline = tmp_path / "baseline"
+    assert main(["compute", "--manifest", str(demo_manifest), "--out", str(baseline)]) == 0
+    assert json.loads((baseline / "audit.json").read_text())["scenario"] is None
 
 
 def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):

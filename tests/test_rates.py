@@ -17,12 +17,12 @@ from taxcascade import (
     redistribute_margins,
     single_rate_equivalent,
 )
+from taxcascade.accounts import file_digest
 from taxcascade.engine import with_totals
 from taxcascade.tables import MAX_LISTED_FAILURES
 from taxcascade.reporting import (
     ND,
     _array_digest,
-    file_digest,
     format_number,
     write_final_incidence_table,
     write_first_stage_table,
