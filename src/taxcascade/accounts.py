@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -533,11 +534,8 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-#: Entries the parsed-table cache keeps; storing one more deletes the least recently used.
-CACHE_ENTRIES = 8
-
-#: Bytes the parsed-table cache keeps, evicting as :data:`CACHE_ENTRIES` does;
-#: an entry larger than this is not stored.
+#: Bytes the files of the parsed-table cache may hold; storing an entry deletes
+#: the least recently used until they fit, and an entry larger than this is not stored.
 CACHE_BYTES = 256 << 20
 
 #: The modules that parse and align the tables: their source is part of every
@@ -588,8 +586,9 @@ def _read_entry(entry: Path, shapes: list[tuple[int, int]]) -> list[np.ndarray] 
 
 def _write_entry(entry: Path, arrays: list[np.ndarray]) -> None:
     """Store ``arrays`` as ``entry``, whole or not at all, unless it would be
-    larger than :data:`CACHE_BYTES`; then keep only the most recently used
-    entries beside it, at most :data:`CACHE_ENTRIES` and :data:`CACHE_BYTES`."""
+    larger than :data:`CACHE_BYTES`; then delete the least recently used files
+    in its directory, a killed writer's ``.tmp`` as an entry, until those left
+    hold at most :data:`CACHE_BYTES`."""
     if sum(a.nbytes for a in arrays) > CACHE_BYTES:  # not even written
         return
     entry.parent.mkdir(parents=True, exist_ok=True)
@@ -605,43 +604,21 @@ def _write_entry(entry: Path, arrays: list[np.ndarray]) -> None:
         if partial_entry.exists():
             partial_entry.unlink()
     by_use = []
-    for other in entry.parent.glob("*.npy"):
+    for other in entry.parent.iterdir():
         try:
-            stat = other.stat()
+            stat = other.lstat()
         except OSError:  # deleted by another process meanwhile
             continue
-        by_use.append((stat.st_mtime_ns, stat.st_size, other))
+        if S_ISREG(stat.st_mode):
+            by_use.append((stat.st_mtime_ns, stat.st_size, other))
     kept = 0
-    for k, (_, size, old) in enumerate(sorted(by_use, reverse=True)):
+    for _, size, old in sorted(by_use, reverse=True):
         kept += size
-        if k >= CACHE_ENTRIES or kept > CACHE_BYTES:
+        if kept > CACHE_BYTES:
             try:
                 old.unlink()
             except OSError:
                 pass
-
-
-def _cached(directory: Path, manifest: str, files: list[Path], shapes, parse):
-    """``parse()``, the five aligned tables of ``files`` and the sha256 of each
-    one's bytes, or what it returned for the same bytes, read from ``directory``.
-
-    A miss parses, then stores the tables under the key of the bytes parsed,
-    not of those hashed for the lookup; a table that fails to parse raises as
-    without a cache and stores nothing.  The cache never fails a load: an entry
-    that cannot be read is a miss, and one that cannot be written is skipped.
-    """
-    try:
-        digests = [file_digest(path) for path in files]
-        arrays = _read_entry(directory / f"{_cache_key(manifest, digests)}.npy", shapes)
-    except OSError:
-        arrays = None
-    if arrays is None:
-        arrays, digests = parse()
-        try:
-            _write_entry(directory / f"{_cache_key(manifest, digests)}.npy", arrays)
-        except OSError:
-            pass
-    return arrays, digests
 
 
 def load_bundle(
@@ -665,14 +642,15 @@ def load_bundle(
     With a ``cache`` directory, the five aligned tables are read from the
     entry named by the sha256 of the manifest, of the five tables, of this
     parser's source and of numpy's version, if it is there; else they are
-    parsed and stored under the name of the bytes parsed.  Everything else
-    runs as without it, on the same arrays bit for bit.
+    parsed and stored under the name of the bytes parsed, not of those hashed
+    for the lookup.  Everything else runs as without it, on the same arrays
+    bit for bit.  The cache never fails a load: an entry that cannot be read
+    is a miss, and one that cannot be written is skipped.
     """
     manifest_path = Path(manifest_path)
     try:
         data = manifest_path.read_bytes()
-        # decoded as read_text decodes, from the bytes the cache key hashes
-        manifest = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        manifest = json.loads(data.decode("utf-8-sig"))  # as a table: an optional BOM
     except FileNotFoundError:
         raise BundleError(f"manifest not found: {manifest_path}") from None
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -738,21 +716,30 @@ def load_bundle(
         if not path.is_file():
             raise BundleError(f"{where}: {not_a_file(path)}: {path}")
 
-    rows = {code: i for i, code in enumerate(codes)}
+    files = [paths[name] for name, _, _ in layout]
+    arrays = None
+    if cache is not None:
+        def entry(digests: list[str]) -> Path:
+            return Path(cache) / f"{_cache_key(sources['manifest'][1], digests)}.npy"
 
-    def parse() -> tuple[list[np.ndarray], list[str]]:
-        read = [
-            read_table(paths[name], delimiter, partial(_placement, name, paths[name], wanted, rows))
-            for name, wanted, _ in layout
-        ]
-        return [table[2] for table in read], [table[3] for table in read]
-
-    if cache is None:
-        arrays, digests = parse()
-    else:
-        files = [paths[name] for name, _, _ in layout]
         shapes = [(len(codes), len(wanted)) for _, wanted, _ in layout]
-        arrays, digests = _cached(Path(cache), sources["manifest"][1], files, shapes, parse)
+        try:
+            digests = [file_digest(path) for path in files]
+            arrays = _read_entry(entry(digests), shapes)
+        except OSError:
+            pass
+    if arrays is None:  # a table that fails to parse raises here, and stores nothing
+        rows = {code: i for i, code in enumerate(codes)}
+        read = [
+            read_table(path, delimiter, partial(_placement, name, path, wanted, rows))
+            for path, (name, wanted, _) in zip(files, layout)
+        ]
+        arrays, digests = [table[2] for table in read], [table[3] for table in read]
+        if cache is not None:
+            try:
+                _write_entry(entry(digests), arrays)
+            except OSError:
+                pass
     aligned = {name: array for (name, _, _), array in zip(layout, arrays)}
     hashed = dict(zip(aligned, digests))
     for name, rel in tables.items():  # any entry not parsed is hashed here, once

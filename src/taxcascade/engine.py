@@ -93,11 +93,6 @@ class CoefficientSystem:
     def n(self) -> int:
         return len(self.activities)
 
-    @property
-    def statutory_total(self) -> float:
-        table = first_stage_table(self.intermediate_tax, self.final_tax)
-        return float(table[-1, STATUTORY])
-
     @cached_property
     def share_row_sums(self) -> np.ndarray:
         """(n,) the intermediate plus final shares of each activity's supply:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import taxcascade.accounts as accounts
 from taxcascade import Activity, IOAccounts, TaxDestinationTable, load_bundle, save_bundle
-from taxcascade.accounts import CACHE_ENTRIES, _layout
+from taxcascade.accounts import CACHE_BYTES, _layout
 from taxcascade.cli import main
 
 from test_accounts import corrupt_demo_copy, write_minimal_bundle
@@ -206,7 +206,7 @@ def test_changing_one_byte_of_any_file_gives_a_new_key(demo_manifest, tmp_path):
         path.write_bytes(text[:at] + str((text[at] - 47) % 10).encode() + text[at + 1 :])
         parsed = load_bundle(manifest, check=False)
         assert_same_load(load_bundle(manifest, check=False, cache=cache), parsed)
-        assert len(entries(cache)) == min(k, CACHE_ENTRIES), name
+        assert len(entries(cache)) == k, name
 
 
 def test_the_key_covers_the_parser_source_and_numpy(tmp_path, monkeypatch):
@@ -245,14 +245,35 @@ def store(manifest: Path, cache: Path, k: int) -> Path:
     return entry
 
 
-def test_the_cache_keeps_the_most_recently_used_entries(demo_manifest, tmp_path):
+def test_the_default_bound_keeps_ten_demo_entries(demo_manifest, tmp_path):
     cache = tmp_path / "cache"
-    keys = []
-    for k in range(10):
+    keys = {store(relabelled(demo_manifest, tmp_path / f"bundle{k}", k), cache, k) for k in range(10)}
+    assert entries(cache) == keys
+
+
+def test_the_cache_keeps_the_most_recently_used_entries(demo_manifest, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    keys = [store(relabelled(demo_manifest, tmp_path / "bundle0", 0), cache, 0)]
+    size = keys[0].stat().st_size  # every demo entry has this size
+    monkeypatch.setattr(accounts, "CACHE_BYTES", 8 * size + size // 2)  # room for eight
+    for k in range(1, 10):
         keys.append(store(relabelled(demo_manifest, tmp_path / f"bundle{k}", k), cache, k))
         if k == 5:  # a hit on the first makes it the most recently used
             load_bundle(tmp_path / "bundle0" / demo_manifest.name, cache=cache)
     assert entries(cache) == {keys[0], *keys[3:]}
+
+
+def test_a_killed_writers_partial_entry_counts_and_is_evicted_first(demo_manifest, tmp_path):
+    cache = tmp_path / "cache"
+    kept = store(relabelled(demo_manifest, tmp_path / "bundle0", 0), cache, 1)
+    size = kept.stat().st_size
+    # left by a writer killed while storing: older than every entry, and sparse
+    partial_entry = cache / f"{'0' * 64}.12345.tmp"
+    with open(partial_entry, "wb") as fh:
+        fh.truncate(CACHE_BYTES - 2 * size + 1)  # one byte too many beside two entries
+    os.utime(partial_entry, ns=(0, 0))
+    new = store(relabelled(demo_manifest, tmp_path / "bundle1", 1), cache, 2)
+    assert set(cache.iterdir()) == {kept, new}
 
 
 def test_the_cache_evicts_the_oldest_entries_past_its_byte_bound(

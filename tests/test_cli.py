@@ -387,6 +387,23 @@ def test_compute_scenario_scaling(demo_manifest, tmp_path):
     assert json.loads((baseline / "audit.json").read_text())["scenario"] is None
 
 
+def test_a_manifest_with_a_bom_computes_as_without(demo_manifest, tmp_path, monkeypatch):
+    shutil.copytree(demo_manifest.parent, tmp_path / "bom_bundle")
+    manifest = tmp_path / "bom_bundle" / demo_manifest.name
+    manifest.write_bytes(b"\xef\xbb\xbf" + demo_manifest.read_bytes())  # as Notepad saves it
+    runs = {}
+    for name, bundle in (("plain", demo_manifest.parent), ("bom", manifest.parent)):
+        monkeypatch.chdir(bundle)  # audit.json records the manifest path as given
+        assert main(["compute", "--manifest", manifest.name, "--out", str(tmp_path / name)]) == 0
+        runs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        runs[name]["audit.json"] = json.loads(runs[name]["audit.json"])
+    # the digest of the bytes read, BOM included: the only difference
+    sha256 = hashlib.sha256(manifest.read_bytes()).hexdigest()
+    assert runs["bom"]["audit.json"]["bundle"]["manifest"]["sha256"] == sha256
+    runs["bom"]["audit.json"]["bundle"]["manifest"] = runs["plain"]["audit.json"]["bundle"]["manifest"]
+    assert runs["bom"] == runs["plain"]
+
+
 def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
     scenario = tmp_path / "scenario.csv"
     scenario.write_text("code,scale\nghost,2\n", encoding="utf-8")

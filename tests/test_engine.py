@@ -20,7 +20,15 @@ from taxcascade import (
     save_bundle,
 )
 
-from taxcascade.engine import BLOCK_CHECKPOINT, LOOKAHEAD, MAX_BLOCK, _block_to_build, with_totals
+from taxcascade.engine import (
+    BLOCK_CHECKPOINT,
+    LOOKAHEAD,
+    MAX_BLOCK,
+    STATUTORY,
+    _block_to_build,
+    first_stage_table,
+    with_totals,
+)
 from taxcascade.tables import COMPONENT_ORDER, N_COMPONENTS, incidence_cells, rate_cells
 
 from oracles import make_activities, random_accounts, random_system, stagewise_final_incidence
@@ -60,7 +68,8 @@ def test_build_system_normalizes_by_supplier(accounts_factory):
     assert system.final_shares[1, 2] == pytest.approx(0.9)
     npt.assert_allclose(system.intermediate_tax, [4.0, 2.0])
     assert system.final_tax[0, 0] == pytest.approx(6.0)
-    assert system.statutory_total == pytest.approx(12.0)
+    totals = first_stage_table(system.intermediate_tax, system.final_tax)[-1]
+    assert totals[STATUTORY] == pytest.approx(12.0)
 
 
 def test_build_system_zero_supply_row_is_all_zero(accounts_factory):
