@@ -435,8 +435,8 @@ def read_table(path: Path, delimiter: str, place=None) -> tuple[list, list, np.n
     except FileNotFoundError:
         raise BundleError(f"table file not found: {path}") from None
     except UnicodeDecodeError:
-        try:  # decoded whole, the error gives the byte's offset in the file
-            path.read_bytes().decode("utf-8-sig")
+        try:  # decoded whole, the error gives the byte's offset in the file,
+            path.read_bytes().decode("utf-8")  # counting a BOM, a character in utf-8
         except UnicodeDecodeError as exc:
             raise BundleError(f"{path}: not UTF-8 text ({exc})") from None
         raise
@@ -650,7 +650,8 @@ def load_bundle(
     manifest_path = Path(manifest_path)
     try:
         data = manifest_path.read_bytes()
-        manifest = json.loads(data.decode("utf-8-sig"))  # as a table: an optional BOM
+        # as a table: an optional BOM, but an error's offset counts it
+        manifest = json.loads(data.decode("utf-8").removeprefix("\ufeff"))
     except FileNotFoundError:
         raise BundleError(f"manifest not found: {manifest_path}") from None
     except ValueError as exc:  # not UTF-8, or not JSON

@@ -340,6 +340,3 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"validate": cmd_validate, "compute": cmd_compute, "diff": cmd_diff}
     return handlers[args.command](args)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

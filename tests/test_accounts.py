@@ -365,6 +365,17 @@ def test_malformed_manifest_names_the_field(tmp_path, fields, message):
         ("manifest.json", b"5", "the manifest must be an object, got 5"),
         ("manifest.json", b"\xff\xfe{}", "invalid JSON ("),
         ("supply.csv", "code,supply\nup,100\n".encode("utf-16"), "not UTF-8 text ("),
+        # a BOM is counted in the offset of the byte that is not UTF-8
+        (
+            "supply.csv",
+            b"\xef\xbb\xbfcode,supply\n\xffup,100\n",
+            "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 15:",
+        ),
+        (
+            "manifest.json",
+            b'\xef\xbb\xbf{"tables"\xff: {}}',
+            "invalid JSON ('utf-8' codec can't decode byte 0xff in position 12:",
+        ),
     ],
 )
 def test_malformed_file_is_named(tmp_path, name, text, message):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -450,11 +451,16 @@ def test_compute_scenario_unknown_code(demo_manifest, tmp_path, capsys):
             + ", ".join(f"ghost{k:02d}" for k in range(10)) + ", ... and 15 more\n",
         ),
         (b"code,scale\nm\xfcll,2\n", "scenario.csv: not UTF-8 text ("),
+        # the offset in the file, counting the BOM
+        (
+            b"\xef\xbb\xbfcode,scale\nm\xfcll,2\n",
+            "scenario.csv: not UTF-8 text ('utf-8' codec can't decode byte 0xfc in position 15:",
+        ),
     ],
     ids=[
         "short-row", "long-row", "not-a-number", "underscore", "arabic-indic-digit", "nan",
         "inf", "duplicate", "no-header", "open-quote", "unknown-codes", "unknown-codes-capped",
-        "latin-1",
+        "latin-1", "latin-1-after-bom",
     ],
 )
 def test_compute_rejects_bad_scenario_rows(demo_manifest, tmp_path, capsys, text, message):
@@ -1172,6 +1178,115 @@ def test_module_entry_point(demo_manifest, tmp_path):
     )
     assert proc.returncode == 0
     assert "row_balance: ok" in proc.stdout
+
+
+def script_command():
+    """The ``taxcascade`` script as an installer writes it: a process that
+    calls the function ``[project.scripts]`` names and exits with its value."""
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    module, function = re.search(
+        r'^\[project\.scripts\]\ntaxcascade = "([\w.]+):(\w+)"$',
+        pyproject.read_text(encoding="utf-8"),
+        re.MULTILINE,
+    ).groups()
+    return [sys.executable, "-c", f"import sys; from {module} import {function}; sys.exit({function}())"]
+
+
+ENTRIES = {"module": [sys.executable, "-m", "taxcascade"], "script": script_command()}
+
+
+def run_buffered(command):
+    # stdout buffered, as a pipe is by default: only the exit flushes it
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.run(command, capture_output=True, text=True, env=env)
+
+
+def run_entry(entry, *argv):
+    return run_buffered([*ENTRIES[entry], *argv])
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entry_exit_codes(demo_manifest, tmp_path, entry):
+    out = tmp_path / "run"
+    proc = run_entry(entry, "compute", "--manifest", str(demo_manifest), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"wrote 7 files to {out}"
+
+    proc = run_entry(entry, "compute", "--manifest", str(demo_manifest), "--method", "truncated")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "--method truncated requires --tol and --maxstages" in proc.stderr
+
+    proc = run_entry(entry, "compute", "--manifest", str(tmp_path / "no.json"), "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"usage error: manifest not found: {tmp_path / 'no.json'}\n"
+
+    table, code, column, text = NON_FINITE_CELLS[0]
+    manifest = corrupt_demo_copy(demo_manifest, tmp_path / "bad", table, code, column, text)
+    proc = run_entry(entry, "compute", "--manifest", str(manifest), "--out", str(tmp_path / "c"))
+    assert proc.returncode == 1
+    assert f"{table}: {code} / {column}: {text}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "c").exists()
+
+
+def written(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entry_writes_what_main_writes(demo_manifest, tmp_path, entry):
+    reform = tmp_path / "reform.csv"
+    reform.write_text("code,scale\nmill,1.003\n")
+    runs = {}
+    for side in ("process", "main"):
+        out = tmp_path / side
+        commands = {
+            "base": ["compute", "--manifest", str(demo_manifest)],
+            "reform": ["compute", "--manifest", str(demo_manifest), "--scenario", str(reform)],
+            "diff": ["diff", "--baseline", str(out / "base"), "--scenario", str(out / "reform")],
+        }
+        for name, argv in commands.items():
+            argv = [*argv, "--out", str(out / name)]
+            if side == "process":
+                proc = run_entry(entry, *argv)
+                assert proc.returncode == 0, proc.stderr
+            else:
+                assert main(argv) == 0
+            runs[side, name] = written(out / name)
+    for name in ("base", "reform", "diff"):
+        assert runs["process", name] == runs["main", name]
+    assert len(runs["main", "base"]) == 7 and len(runs["main", "diff"]) == 2
+
+
+def test_entry_runs_without_the_collector_and_still_exits_cleanly(demo_manifest, tmp_path):
+    # an atexit handler still runs, after main, with the collector off and
+    # every object frozen, and what it prints is flushed
+    proc = run_buffered([
+        sys.executable, "-c",
+        "import atexit, gc, sys; "
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
+        "from taxcascade.__main__ import entry; entry()",
+        "validate", "--manifest", str(demo_manifest), "--out", str(tmp_path),
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [f"wrote {tmp_path / 'validation_report.json'}", "False True"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(demo_manifest, tmp_path, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        for command in ("validate", "compute"):
+            assert main([command, "--manifest", str(demo_manifest), "--out", str(tmp_path / command)]) == 0
+        assert main([
+            "diff", "--baseline", str(tmp_path / "compute"), "--scenario", str(tmp_path / "compute"),
+            "--out", str(tmp_path / "diff"),
+        ]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("truncated", [False, True], ids=["closed-form", "truncated"])
