@@ -178,13 +178,16 @@ class CheckResult:
     """Outcome of one validation check."""
 
     name: str
-    passed: bool
     # worst offending magnitude, 0 when clean, None if not finite or not a magnitude
     residual: float | None = 0.0
     # human-readable rows/cells that failed: the first MAX_LISTED_FAILURES,
     # then "... and k more" if there are more
     failures: tuple[str, ...] = ()
     count: int = 0  # rows/cells that failed, all of them
+
+    @property
+    def passed(self) -> bool:
+        return self.count == 0
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ class ValidationReport:
 def _result(name: str, failures, count: int, residual: float | None) -> CheckResult:
     """A check with ``count`` failures, worded by the lazy ``failures`` as far as listed."""
     failures = tuple(listing(failures, count))
-    return CheckResult(name, passed=not count, residual=residual, failures=failures, count=count)
+    return CheckResult(name, residual, failures, count)
 
 
 def _check(name: str, bad: np.ndarray, residual: float, describe) -> CheckResult:
@@ -248,7 +251,7 @@ def _margins(accounts: IOAccounts) -> CheckResult:
     failures = tuple(f"{reason}: {', '.join(listing(names))}" for reason, names in found.items())
     count = sum(len(names) for names in found.values())
     # what fails is a missing weight or supply, not a magnitude
-    return CheckResult("margins", not count, None if count else 0.0, failures, count)
+    return CheckResult("margins", None if count else 0.0, failures, count)
 
 
 def validate(accounts: IOAccounts, *, margins: bool = True) -> ValidationReport:
@@ -628,8 +631,8 @@ def load_bundle(
 
     The manifest is JSON with keys ``activities`` (list of codes or
     ``{code, label}`` objects, defining row order), ``components`` (the six
-    component names in the order used by this bundle's files), ``tables``
-    (mapping of table name to file path, relative to the manifest), and
+    component names, in any order: table columns are matched by header name),
+    ``tables`` (mapping of table name to file path, relative to the manifest), and
     optionally ``delimiter`` ("," default, or ";").  Every ``tables`` entry
     must name a regular file, read once for its path and sha256 in ``sources``,
     but only the five tables are parsed; any other key, such as a descriptive

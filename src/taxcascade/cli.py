@@ -334,9 +334,12 @@ def main(argv: list[str] | None = None) -> int:
             os.environ.setdefault(name, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compute" and args.method == "truncated":
-        if args.tol is None or args.maxstages is None:
+    if args.command == "compute":
+        given = [args.tol is not None, args.maxstages is not None]
+        if args.method == "truncated" and not all(given):
             parser.error("--method truncated requires --tol and --maxstages")
+        if args.method != "truncated" and any(given + [args.allow_residual]):
+            parser.error("--tol, --maxstages and --allow-residual require --method truncated")
     handlers = {"validate": cmd_validate, "compute": cmd_compute, "diff": cmd_diff}
     return handlers[args.command](args)
 

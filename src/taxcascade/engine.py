@@ -180,7 +180,7 @@ class IncidenceResult:
     solve_residual: float | None = None  # ||M v - t||_inf of the solve (closed form only)
     truncation: Truncation | None = None  # the stage loop's blocks (truncated only)
 
-    @property
+    @cached_property
     def final_incidence(self) -> np.ndarray:
         """(n, 6) incidence on final demand, first stage plus later stages."""
         return self.first_stage_final + self.subsequent_stage

@@ -24,31 +24,22 @@ from .tables import COMPONENT_ORDER, DISPLAY_THRESHOLD, N_COMPONENTS, DemandComp
 
 @dataclass(frozen=True)
 class RateReport:
-    """Effective rates by activity and component, plus the Total row.
+    """Effective rates by activity, then the Total row, as ``result.json`` holds them.
 
-    All arrays have one column per :data:`COMPONENT_ORDER` entry plus a
-    trailing total-final-demand column; all four are slices of one rate
-    computation on incidence and expenditure with their totals
-    (:func:`~taxcascade.engine.with_totals`).  ``rates`` is NaN where ``masked``.
+    ``rates`` has one column per :data:`COMPONENT_ORDER` entry plus a trailing
+    total-final-demand column, from one rate computation on incidence and
+    expenditure with their totals (:func:`~taxcascade.engine.with_totals`).
     """
 
     activities: tuple[Activity, ...]
-    rates: np.ndarray  # (n, 7) percent
-    masked: np.ndarray  # (n, 7) bool
-    total_rates: np.ndarray  # (7,) percent, from summed incidence/expenditure
-    total_masked: np.ndarray  # (7,) bool
+    rates: np.ndarray  # (n + 1, 7) percent, NaN where ND
     component_shares: np.ndarray  # (6,) percent of grand total, NaN if undefined
     diagnostics: tuple[str, ...] = ()
 
-
-def _rate_cells(
-    incidence: np.ndarray, expenditure: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    net = expenditure - incidence
-    masked = (expenditure <= threshold) | (net <= 0)
-    rates = np.full(incidence.shape, np.nan)
-    np.divide(100.0 * incidence, net, out=rates, where=~masked)
-    return rates, masked
+    @property
+    def masked(self) -> np.ndarray:
+        """(n, 7) bool: the activity cells masked as ND."""
+        return np.isnan(self.rates[:-1])
 
 
 def _expenditure_table(result: IncidenceResult, expenditure) -> np.ndarray:
@@ -80,14 +71,18 @@ def effective_rates(
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     expenditure = _expenditure_table(result, expenditure)
-    rates, masked = _rate_cells(result.incidence_table, expenditure, threshold)
+    incidence = result.incidence_table
+    net = expenditure - incidence
+    masked = (expenditure <= threshold) | (net <= 0)
+    rates = np.full(incidence.shape, np.nan)
+    np.divide(100.0 * incidence, net, out=rates, where=~masked)
 
     labels = [c.value for c in COMPONENT_ORDER] + ["total"]
     rows, cols = np.nonzero(masked[:-1] & (expenditure[:-1] > threshold))
     cells = (
         f"{result.activities[i].code} / {labels[j]}: expenditure "
         f"{expenditure[i, j]:.6g} does not exceed incidence "
-        f"{result.incidence_table[i, j]:.6g}; rate masked as ND"
+        f"{incidence[i, j]:.6g}; rate masked as ND"
         for i, j in zip(rows, cols)
     )
     more = " cells masked as ND despite expenditure above the threshold"
@@ -99,15 +94,7 @@ def effective_rates(
         shares = np.full(N_COMPONENTS, np.nan)
         diagnostics.append(str(exc))
 
-    return RateReport(
-        activities=result.activities,
-        rates=rates[:-1],
-        masked=masked[:-1],
-        total_rates=rates[-1],
-        total_masked=masked[-1],
-        component_shares=shares,
-        diagnostics=tuple(diagnostics),
-    )
+    return RateReport(result.activities, rates, shares, tuple(diagnostics))
 
 
 def component_shares(result: IncidenceResult) -> np.ndarray:

@@ -97,7 +97,7 @@ def write_rates_table(
     components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
 ) -> Path:
     """Effective rates, with the cells of :func:`rate_cells` (ND where masked)."""
-    cells = rate_cells(np.vstack([report.rates, report.total_rates]).tolist(), components)
+    cells = rate_cells(report.rates.tolist(), components)
     rows = _table_rows(report.activities, cells, RATE_PRECISION)
     return write_rows(Path(path), _table_header(components), rows)
 
@@ -164,7 +164,7 @@ def result_record(
         "final_incidence": result.final_incidence.tolist(),
         "effective_rates": [
             [None if math.isnan(v) else v for v in row]
-            for row in np.vstack([report.rates, report.total_rates]).tolist()
+            for row in report.rates.tolist()
         ],
     }
 

@@ -145,9 +145,8 @@ def test_4_published_total_effective_rates():
         report = effective_rates(result, expenditure)
         rates = brazil2015.TOTAL_EFFECTIVE_RATES
         for j, comp in enumerate(brazil2015.FOUR_COMPONENTS):
-            assert not report.total_masked[comp.column]
-            assert abs(report.total_rates[comp.column] - rates[j]) <= 0.05, comp.value
-        assert abs(report.total_rates[6] - rates[4]) <= 0.05
+            assert abs(report.rates[-1, comp.column] - rates[j]) <= 0.05, comp.value
+        assert abs(report.rates[-1, 6] - rates[4]) <= 0.05
 
 
 def test_5_single_rate_equivalent():

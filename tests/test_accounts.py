@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import shutil
@@ -18,7 +19,7 @@ from taxcascade import (
     save_bundle,
     validate,
 )
-from taxcascade.accounts import PARSE_ROWS, _layout
+from taxcascade.accounts import PARSE_ROWS, CheckResult, _layout
 from taxcascade.tables import MAX_LISTED_FAILURES
 from taxcascade.reporting import write_json
 
@@ -665,3 +666,14 @@ def test_non_finite_cell_fails_validation(tmp_path, demo_manifest, table, code, 
     with pytest.raises(BundleError, match="finite_cells: 1 failure") as excinfo:
         load_bundle(manifest)
     assert check.failures[0] in str(excinfo.value)
+
+
+def test_check_passes_exactly_when_nothing_failed(tmp_path, demo_manifest):
+    # a verdict derived from the count, never stored beside it
+    assert "passed" not in {field.name for field in dataclasses.fields(CheckResult)}
+    table, code, column, text = NON_FINITE_CELLS[0]
+    bad = corrupt_demo_copy(demo_manifest, tmp_path / "bad", table, code, column, text)
+    checks = validate(load_bundle(demo_manifest)).checks + validate(load_bundle(bad, check=False)).checks
+    assert {check.passed for check in checks} == {True, False}
+    for check in checks:
+        assert check.passed == (check.count == 0)

@@ -785,6 +785,22 @@ def test_truncated_requires_tol_and_maxstages(demo_manifest, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--tol", "0.5"], ["--maxstages", "3"], ["--allow-residual"]], ids=lambda f: f[0]
+)
+@pytest.mark.parametrize("method", [[], ["--method", "closed-form"]], ids=["default", "closed"])
+def test_truncation_settings_require_truncated(demo_manifest, tmp_path, capsys, flags, method):
+    # a closed-form run would record settings it never used
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--manifest", str(demo_manifest), *method, *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tol, --maxstages and --allow-residual require --method truncated" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_truncated_rejects_infinite_tol(demo_manifest, tmp_path, capsys):
     # an infinite tolerance would stop after one stage and call it converged
     rc = main([

@@ -127,6 +127,9 @@ def test_closed_form_two_by_two_frozen_values():
     assert result.stages is None
     assert result.converged
     assert result.conserved
+    # summed once, then read by the incidence table and result.json alike
+    assert result.final_incidence is result.final_incidence
+    npt.assert_array_equal(result.final_incidence, result.first_stage_final + result.subsequent_stage)
 
 
 def test_truncated_matches_closed_form_two_by_two():

@@ -73,7 +73,7 @@ def test_rate_round_trips_through_its_definition():
     expenditure = rng.uniform(2000.0, 9000.0, size=(5, 6))
     incidence = expenditure * target / (100.0 + target)
     report = effective_rates(make_result(incidence), expenditure, threshold=0.0)
-    npt.assert_allclose(report.rates[:, :6], target, rtol=1e-12)
+    npt.assert_allclose(report.rates[:-1, :6], target, rtol=1e-12)
 
 
 def test_rate_increases_with_incidence():
@@ -91,7 +91,7 @@ def test_zero_incidence_zero_rate():
     report = effective_rates(
         make_result(np.zeros((2, 6))), np.full((2, 6), 50.0), threshold=0.0
     )
-    npt.assert_array_equal(report.rates[:, :6], np.zeros((2, 6)))
+    npt.assert_array_equal(report.rates[:-1, :6], np.zeros((2, 6)))
     assert not report.masked[:, :6].any()
 
 
@@ -149,8 +149,20 @@ def test_masking_never_feeds_back_into_totals():
     assert report.masked[0, HH]
     # totals still include the masked row's incidence and expenditure
     expected = 100.0 * 50.0 / (8500.0 - 50.0)
-    assert report.total_rates[HH] == pytest.approx(expected)
-    assert not report.total_masked[HH]
+    assert report.rates[-1, HH] == pytest.approx(expected)
+
+
+def test_rates_are_one_table_with_the_total_row():
+    fi = np.zeros((3, 6))
+    fi[:, HH] = [10.0, 40.0, 0.0]
+    expenditure = np.zeros((3, 6))
+    expenditure[:, HH] = [500.0, 8000.0, 4000.0]
+    report = effective_rates(make_result(fi), expenditure)
+    assert report.rates.shape == (4, 7)
+    npt.assert_array_equal(report.masked, np.isnan(report.rates[:-1]))
+    assert report.masked.sum() == 3 * 7 - 4  # households and total of rows 1 and 2 only
+    with pytest.raises(AttributeError):
+        report.masked = np.zeros((3, 7), dtype=bool)
 
 
 def test_threshold_changes_masks_not_values():
@@ -160,7 +172,7 @@ def test_threshold_changes_masks_not_values():
     loose = effective_rates(make_result(fi), expenditure, threshold=0.0)
     strict = effective_rates(make_result(fi), expenditure, threshold=2000.0)
     both = ~loose.masked & ~strict.masked
-    npt.assert_array_equal(loose.rates[both], strict.rates[both])
+    npt.assert_array_equal(loose.rates[:-1][both], strict.rates[:-1][both])
     assert strict.masked.sum() > loose.masked.sum()
 
 
@@ -186,7 +198,7 @@ def test_brazil_grand_total_is_one_double(brazil_accounts):
     total = result.grand_total
     assert incidence_cells(result.final_incidence.tolist(), DEFAULT_REPORT_COMPONENTS)[-1][-1] == total
     spent = with_totals(adjusted.finaldemand)[-1, -1]
-    assert report.total_rates[6] == 100.0 * total / (spent - total)
+    assert report.rates[-1, 6] == 100.0 * total / (spent - total)
 
 
 def test_expenditure_shape_checked():
