@@ -13,6 +13,8 @@ Provides:
       Given a cache directory, load_bundle keeps the aligned tables of each
       bundle it parses there, named by a hash of the bytes they were parsed
       from, and reads them back instead of parsing the same bytes again.
+      store_entry, read_float_entry and write_float_entry keep other entries
+      in the same directory, under the same byte bound.
     - read_table: the one reader of delimited text, bundle tables and
       ``--scenario`` files alike; a rejected file is named as ``file:line``.
     - validate: diagnostic checks that never raise, as a ValidationReport.
@@ -27,6 +29,7 @@ import io
 import json
 import os
 import re
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -537,8 +540,9 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-#: Bytes the files of the parsed-table cache may hold; storing an entry deletes
-#: the least recently used until they fit, and an entry larger than this is not stored.
+#: Bytes the files of the cache may hold, parsed tables and condition numbers alike;
+#: storing an entry deletes the least recently used until they fit, and an entry
+#: larger than this is not stored.
 CACHE_BYTES = 256 << 20
 
 #: The modules that parse and align the tables: their source is part of every
@@ -588,19 +592,29 @@ def _read_entry(entry: Path, shapes: list[tuple[int, int]]) -> list[np.ndarray] 
 
 
 def _write_entry(entry: Path, arrays: list[np.ndarray]) -> None:
-    """Store ``arrays`` as ``entry``, whole or not at all, unless it would be
-    larger than :data:`CACHE_BYTES`; then delete the least recently used files
-    in its directory, a killed writer's ``.tmp`` as an entry, until those left
-    hold at most :data:`CACHE_BYTES`."""
+    """Store ``arrays`` as ``entry`` by :func:`store_entry`, unless they alone would
+    be larger than :data:`CACHE_BYTES`."""
     if sum(a.nbytes for a in arrays) > CACHE_BYTES:  # not even written
         return
+
+    def write(fh) -> None:
+        for a in arrays:
+            np.save(fh, a, allow_pickle=False)
+
+    store_entry(entry, write)
+
+
+def store_entry(entry: Path, write) -> None:
+    """Store what ``write(fh)`` writes into a binary file as ``entry``, whole or
+    not at all, unless it is larger than :data:`CACHE_BYTES`; then delete the least
+    recently used files in its directory, a killed writer's ``.tmp`` as an entry,
+    until those left hold at most :data:`CACHE_BYTES`."""
     entry.parent.mkdir(parents=True, exist_ok=True)
     partial_entry = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
     try:
         with open(partial_entry, "wb") as fh:
-            for a in arrays:
-                np.save(fh, a, allow_pickle=False)
-            if fh.tell() > CACHE_BYTES:  # the arrays' headers tipped it over
+            write(fh)
+            if fh.tell() > CACHE_BYTES:  # the arrays' headers, say, tipped it over
                 return
         os.replace(partial_entry, entry)
     finally:
@@ -622,6 +636,28 @@ def _write_entry(entry: Path, arrays: list[np.ndarray]) -> None:
                 old.unlink()
             except OSError:
                 pass
+
+
+def read_float_entry(entry: Path) -> float | None:
+    """The float64 stored in ``entry`` by :func:`write_float_entry`, or None unless
+    it is a file of exactly 8 bytes; reading it counts as a use."""
+    try:
+        with open(entry, "rb") as fh:
+            data = fh.read(9)
+    except OSError:  # missing, a directory, unreadable
+        return None
+    if len(data) != 8:
+        return None
+    try:
+        os.utime(entry)  # the most recently used
+    except OSError:
+        pass
+    return struct.unpack("<d", data)[0]
+
+
+def write_float_entry(entry: Path, value: float) -> None:
+    """Store ``value`` as ``entry``, its 8 little-endian bytes, by :func:`store_entry`."""
+    store_entry(entry, lambda fh: fh.write(struct.pack("<d", value)))
 
 
 def load_bundle(

@@ -5,7 +5,8 @@ fails, 2 on usage errors.  All outputs are deterministic: rerunning the same
 command on the same bundle reproduces every output file byte for byte, with
 the BLAS libraries on one thread unless the environment sets their count.
 ``validate`` and ``compute`` keep the parsed tables of each bundle in
-:func:`cache_directory`; a rerun on unchanged files reads them from there.
+:func:`cache_directory`, and ``compute`` the condition number of each share
+system; a rerun on unchanged input reads them from there.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .tables import (
+    BLAS_THREADS,
     COMPONENT_ORDER,
     DEFAULT_REPORT_COMPONENTS,
     DISPLAY_THRESHOLD,
@@ -24,6 +26,7 @@ from .tables import (
     diff_tables,
     listing,
     read_result_json,
+    write_json,
     write_rows,
 )
 
@@ -33,10 +36,11 @@ if TYPE_CHECKING:
     from .accounts import IOAccounts
 
 #: What validate and compute call, by the module that defines it.  These modules
-#: load numpy, so :func:`_load_pipeline` binds the names as globals of this module
-#: on first use and ``diff`` runs without them.  The commands call each name
-#: through these globals: ``bench/run.py --trace 1`` wraps every name it lists
-#: (``save_bundle`` too, which nothing here calls) by setting it on this module.
+#: load numpy, so :func:`_load_pipeline` binds the names of each as globals of this
+#: module on first use: ``diff`` runs without them, and ``validate`` with
+#: ``accounts`` alone.  The commands call each name through these globals:
+#: ``bench/run.py --trace 1`` wraps every name it lists (``save_bundle`` too,
+#: which nothing here calls) by setting it on this module.
 _PIPELINE = {
     "accounts": (
         "BundleError", "load_bundle", "not_a_file", "read_table", "save_bundle", "validate",
@@ -49,35 +53,33 @@ _PIPELINE = {
     "rates": ("effective_rates",),
     "reporting": (
         "audit_record", "bundle_digests", "result_record", "write_final_incidence_table",
-        "write_first_stage_table", "write_json", "write_margin_audit", "write_rates_table",
+        "write_first_stage_table", "write_margin_audit", "write_rates_table",
         "write_result_json", "write_system_digest",
     ),
 }
 
 
-def _load_pipeline() -> None:
-    """Bind each :data:`_PIPELINE` name here, keeping any already set from outside."""
-    # an import statement, unlike importlib.import_module, shows in -X importtime
-    from . import accounts, engine, margins, rates, reporting
-
-    for module in (accounts, engine, margins, rates, reporting):
-        for name in _PIPELINE[module.__name__.rpartition(".")[2]]:
-            globals().setdefault(name, getattr(module, name))
+def _load_pipeline(*modules: str) -> None:
+    """Bind the :data:`_PIPELINE` names of ``modules`` (all of them by default) here,
+    keeping any already set from outside."""
+    for module in modules or _PIPELINE:
+        path = f"{__package__}.{module}"
+        # __import__, unlike importlib.import_module, shows in -X importtime
+        __import__(path)
+        for name in _PIPELINE[module]:
+            globals().setdefault(name, getattr(sys.modules[path], name))
 
 
 def __getattr__(name: str):
-    if any(name in names for names in _PIPELINE.values()):
-        _load_pipeline()
-        return globals()[name]
+    for module, names in _PIPELINE.items():
+        if name in names:
+            _load_pipeline(module)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: Environment variable giving the default output directory.
 OUTPUT_DIR_ENV = "TAXCASCADE_OUT"
-
-#: Thread counts of the BLAS libraries numpy may use.  One thread unless set:
-#: a solve splits its sums by thread count, so each count rounds differently.
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _default_out() -> str:
@@ -86,8 +88,10 @@ def _default_out() -> str:
 
 def cache_directory() -> Path | None:
     """Where ``validate`` and ``compute`` keep parsed tables (see
-    :func:`taxcascade.accounts.load_bundle`): ``$XDG_CACHE_HOME/taxcascade``,
-    or ``~/.cache/taxcascade``; None, and no cache, without an absolute home."""
+    :func:`taxcascade.accounts.load_bundle`), and ``compute`` the closed form's
+    condition numbers (see :func:`taxcascade.engine.propagate_closed_form`):
+    ``$XDG_CACHE_HOME/taxcascade``, or ``~/.cache/taxcascade``; None, and no
+    cache, without an absolute home."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative, which XDG ignores
         base = os.path.join(os.path.expanduser("~"), ".cache")
@@ -178,7 +182,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not manifest.is_file():
         print(f"usage error: manifest not found: {manifest}", file=sys.stderr)
         return 2
-    _load_pipeline()
+    _load_pipeline("accounts")  # margins arrives through accounts' own check
     try:
         report = validate(load_bundle(manifest, check=False, cache=cache_directory()))
         out = Path(args.out)
@@ -227,8 +231,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
         return 2
     _load_pipeline()
     out = Path(args.out)
+    cache = cache_directory()
     try:
-        accounts = load_bundle(manifest, cache=cache_directory())
+        accounts = load_bundle(manifest, cache=cache)
         bundle = bundle_digests(accounts)
         print(f"loaded {accounts.n} activities from {manifest}")
 
@@ -259,7 +264,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if args.method == "truncated":
             result = propagate_truncated(system, tol=args.tol, maxstages=args.maxstages)
         else:
-            result = propagate_closed_form(system)
+            result = propagate_closed_form(system, cache=cache)
         report = effective_rates(result, expenditure, threshold=args.threshold)
 
         # Every check has passed; only now does anything reach --out.

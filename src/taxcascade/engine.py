@@ -17,15 +17,20 @@ cross-checked in the test suite.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
-from .accounts import Activity, IOAccounts, TaxDestinationTable
-from .tables import N_COMPONENTS, listing, totals
+from .accounts import (
+    Activity, IOAccounts, TaxDestinationTable, read_float_entry, write_float_entry,
+)
+from .tables import BLAS_THREADS, N_COMPONENTS, listing, totals
 
 #: Abort the closed form when the 1-norm condition number exceeds this.
 CONDITION_LIMIT = 1e12
@@ -60,6 +65,18 @@ CONSERVATION_RTOL = 1e-9
 ROW_SHARE_ATOL = 1e-9
 #: Columns of a :func:`first_stage_table` after the six final-demand components.
 INTERMEDIATE, STATUTORY = N_COMPONENTS, N_COMPONENTS + 1
+#: The BLAS thread settings numpy loaded with (it loads before this module): a solve
+#: rounds by thread count, so they are part of every condition entry's key.
+_BLAS_SETTINGS = tuple(f"{name}={os.environ.get(name, '')}" for name in BLAS_THREADS)
+
+
+def _array_digest(arr: np.ndarray) -> str:
+    """sha256 of ``arr``'s float64 cells in C order, 64 rows at a time: never one whole copy."""
+    arr = np.atleast_1d(np.asarray(arr, dtype=float))
+    digest = hashlib.sha256()
+    for start in range(0, len(arr), 64):
+        digest.update(np.ascontiguousarray(arr[start : start + 64]))
+    return digest.hexdigest()
 
 
 def with_totals(matrix: np.ndarray) -> np.ndarray:
@@ -98,6 +115,12 @@ class CoefficientSystem:
         """(n,) the intermediate plus final shares of each activity's supply:
         about 1 where it has supply, 0 where it has none."""
         return self.intermediate_shares.sum(axis=1) + self.final_shares.sum(axis=1)
+
+    @cached_property
+    def shares_digest(self) -> str:
+        """sha256 of ``intermediate_shares`` in C order, hashed once: the closed
+        form's condition entry is named by it and ``system_digest.json`` records it."""
+        return _array_digest(self.intermediate_shares)
 
 
 def build_system(
@@ -251,7 +274,19 @@ def _result(
     )
 
 
-def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
+def condition_key(shares_digest: str) -> str:
+    """The name of the cache entry of the closed form's condition number for the
+    supply shares of this sha256 (:attr:`CoefficientSystem.shares_digest`): with
+    numpy's version, this module's source and the BLAS thread settings numpy
+    loaded with, which decide how the solve rounds."""
+    source = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
+    parts = [shares_digest, np.__version__, source, *_BLAS_SETTINGS]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def propagate_closed_form(
+    system: CoefficientSystem, *, cache: str | Path | None = None
+) -> IncidenceResult:
     """Propagate the full stage series at once via a linear solve.
 
     The cumulative intermediate mass v solves M v = intermediate tax with
@@ -265,17 +300,41 @@ def propagate_closed_form(system: CoefficientSystem) -> IncidenceResult:
     ``CONDITION_LIMIT``, or an exactly singular M, raises
     :class:`SingularSystemError`, in which case :func:`propagate_truncated`
     can still show how mass circulates in such structures.
+
+    The condition number depends on the shares alone.  With a ``cache``
+    directory it is read from the entry :func:`condition_key` names, and only
+    v is solved (nothing at all when the stored figure refuses); else both
+    solves run and the figure they give, a refusal's too, is stored there.
+    The cache never fails a run: an entry that cannot be read is a miss, and
+    one that cannot be written is skipped.
     """
     # (I - shares).T bit for bit and in its memory order, without an identity matrix
     lhs = np.subtract(0.0, system.intermediate_shares, order="C").T
     lhs.flat[:: system.n + 1] += 1.0
+    entry = stored = None
+    if cache is not None:
+        try:
+            entry = Path(cache) / f"{condition_key(system.shares_digest)}.condition"
+        except OSError:  # this module's source cannot be read
+            pass
+        else:
+            stored = read_float_entry(entry)
+            if not (stored is None or stored >= 0):  # NaN or negative: no condition number
+                stored = None
     try:
-        inverse_norm = np.abs(np.linalg.solve(lhs.T, np.ones(system.n))).max()
-        cumulative = np.linalg.solve(lhs, system.intermediate_tax)
+        if stored is None:
+            inverse_norm = np.abs(np.linalg.solve(lhs.T, np.ones(system.n))).max()
+        if stored is None or stored <= CONDITION_LIMIT:
+            cumulative = np.linalg.solve(lhs, system.intermediate_tax)
     except np.linalg.LinAlgError:
         condition = math.inf
     else:
-        condition = float(np.linalg.norm(lhs, 1) * inverse_norm)
+        condition = float(np.linalg.norm(lhs, 1) * inverse_norm) if stored is None else stored
+    if entry is not None and stored is None:
+        try:
+            write_float_entry(entry, condition)
+        except OSError:
+            pass
     if not condition <= CONDITION_LIMIT:
         estimate = "inf" if condition == math.inf else f"{condition:.3e}"
         raise SingularSystemError(

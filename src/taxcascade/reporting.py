@@ -15,7 +15,6 @@ indented by :func:`write_json`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -25,13 +24,14 @@ import numpy as np
 
 from .accounts import IOAccounts
 from .engine import (
-    CONDITION_LIMIT, CONSERVATION_RTOL, INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult
+    CONDITION_LIMIT, CONSERVATION_RTOL, INTERMEDIATE, STATUTORY, CoefficientSystem,
+    IncidenceResult, _array_digest,
 )
 from .margins import MarginAdjustment
 from .rates import RateReport
 from .tables import (
     COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, ND, DemandComponent, _component_columns,
-    _table_header, rate_cells, write_rows,
+    _table_header, rate_cells, write_json, write_rows,
 )
 
 MONEY_PRECISION = 2
@@ -50,17 +50,6 @@ def _table_rows(activities, cells: list[list[float]], precision: int) -> list[li
         label + [ND if math.isnan(v) else format_number(v, precision) for v in row]
         for label, row in zip(labels, cells)
     ]
-
-
-def write_json(data, path: str | Path) -> Path:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
-
-    For the small records (``audit.json``, ``system_digest.json`` and
-    ``validation_report.json``); ``result.json`` is compact, see :func:`write_result_json`.
-    """
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def write_first_stage_table(
@@ -114,15 +103,6 @@ def write_margin_audit(adjustment: MarginAdjustment, path: str | Path) -> Path:
     return write_rows(Path(path), ["destination", "supply_pool", "tax_pool", "weight_base"], rows)
 
 
-def _array_digest(arr: np.ndarray) -> str:
-    """sha256 of ``arr``'s float64 cells in C order, 64 rows at a time: never one whole copy."""
-    arr = np.atleast_1d(np.asarray(arr, dtype=float))
-    digest = hashlib.sha256()
-    for start in range(0, len(arr), 64):
-        digest.update(np.ascontiguousarray(arr[start : start + 64]))
-    return digest.hexdigest()
-
-
 def write_system_digest(system: CoefficientSystem, path: str | Path) -> Path:
     """Checkable summary of a coefficient system: its share rows and checksums."""
     rowsums = system.share_row_sums
@@ -131,7 +111,7 @@ def write_system_digest(system: CoefficientSystem, path: str | Path) -> Path:
         "zero_share_rows": supplyless,
         "share_row_sums": {"min": float(rowsums.min()), "max": float(rowsums.max())},
         "sha256": {
-            "intermediate_shares": _array_digest(system.intermediate_shares),
+            "intermediate_shares": system.shares_digest,
             "final_shares": _array_digest(system.final_shares),
             "intermediate_tax": _array_digest(system.intermediate_tax),
             "final_tax": _array_digest(system.final_tax),

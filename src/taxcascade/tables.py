@@ -1,5 +1,5 @@
 """Numpy-free layer: final-demand components, table layouts and totals, ``diff``,
-and the one rule for listing offending items.
+the JSON and CSV writers, and the one rule for listing offending items.
 
 ``taxcascade diff`` subtracts two ``result.json`` records and needs nothing
 else, so it runs on this module alone and never loads numpy.  The numpy
@@ -51,6 +51,11 @@ DEFAULT_REPORT_COMPONENTS: tuple[DemandComponent, ...] = (
 DISPLAY_THRESHOLD = 1000.0
 
 ND = "ND"
+
+#: Thread counts of the BLAS libraries numpy may use.  The command line sets each
+#: to one unless the environment does, before numpy loads: a solve splits its sums
+#: by thread count, so each count rounds differently.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: A message or record lists at most this many offending cells, rows, codes or
 #: columns, and counts the rest in one closing line: it stays bounded at any size.
@@ -122,6 +127,18 @@ def write_rows(path: Path, header: list[str], rows: list[list[str]]) -> Path:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path
+
+
+def write_json(data, path: str | Path) -> Path:
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
+
+    For the small records (``audit.json``, ``system_digest.json`` and
+    ``validation_report.json``); ``result.json`` is compact, see
+    :func:`taxcascade.reporting.write_result_json`.
+    """
+    path = Path(path)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 

@@ -22,6 +22,7 @@ import taxcascade.accounts as accounts
 from taxcascade import Activity, IOAccounts, TaxDestinationTable, load_bundle, save_bundle
 from taxcascade.accounts import CACHE_BYTES, _layout
 from taxcascade.cli import main
+from taxcascade.engine import condition_key
 
 from test_accounts import corrupt_demo_copy, write_minimal_bundle
 from test_bundle_properties import bits, bundles
@@ -344,32 +345,48 @@ def test_cold_and_warm_commands_write_the_same_bytes(
         brazil_manifest, tmp_path / "inf", "supply", codes[19], "supply", "inf"
     )
     demo = ["--manifest", str(demo_manifest)]
-    commands = [
+    closed_forms = [
         ["compute", *demo, "--threshold", "0"],
-        ["compute", *demo, "--method", "truncated", "--tol", "1e-12", "--maxstages", "10000"],
-        ["compute", *demo, "--skip-margins"],
+        ["compute", *demo, "--skip-margins"],  # shares of its own
         ["compute", *demo, "--scenario", str(scenario), "--threshold", "0"],
+        ["compute", *demo, "--components", "households,gfcf"],
+    ]
+    commands = [
+        *closed_forms,
+        ["compute", *demo, "--method", "truncated", "--tol", "1e-12", "--maxstages", "10000"],
         ["validate", *demo],
         ["validate", "--manifest", str(nan_flows)],
         ["validate", "--manifest", str(inf_supply)],
     ]
     out = tmp_path / "out"
-    runs = {}
+    runs, solves = {}, {}
     for warmth in ("cold", "warm"):
         if warmth == "warm":  # every table comes from the cache
             monkeypatch.setattr(accounts, "read_table", mock.Mock(side_effect=AssertionError))
         runs[warmth] = []
-        for k, command in enumerate(commands):
-            shutil.rmtree(out, ignore_errors=True)
-            rc = main([*command, "--out", str(out / str(k))])
-            runs[warmth].append((rc, capsys.readouterr(), tree(out)))
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            for k, command in enumerate(commands):
+                shutil.rmtree(out, ignore_errors=True)
+                rc = main([*command, "--out", str(out / str(k))])
+                runs[warmth].append((rc, capsys.readouterr(), tree(out)))
+        solves[warmth] = solve.call_count
         if warmth == "cold":
             assert len(entries(cache / "taxcascade")) == 3
     assert runs["warm"] == runs["cold"]
-    assert [rc for rc, _, _ in runs["cold"]] == [0, 0, 0, 0, 0, 1, 1]
+    assert [rc for rc, _, _ in runs["cold"]] == [0, 0, 0, 0, 0, 0, 1, 1]
     named = (f"flows: {codes[9]} / {codes[11]}: nan", f"supply: {codes[19]} / supply: inf")
-    for (_, printed, _), cell in zip(runs["cold"][5:], named):
+    for (_, printed, _), cell in zip(runs["cold"][6:], named):
         assert cell in printed.out
+    # one condition entry per distinct share system, each stored once and then read
+    shares = {
+        json.loads(files[f"{k}/system_digest.json"])["sha256"]["intermediate_shares"]
+        for k, (_, _, files) in enumerate(runs["cold"][: len(closed_forms)])
+    }
+    assert len(shares) == 2
+    assert set((cache / "taxcascade").glob("*.condition")) == {
+        cache / "taxcascade" / f"{condition_key(digest)}.condition" for digest in shares
+    }
+    assert solves == {"cold": len(closed_forms) + len(shares), "warm": len(closed_forms)}
 
 
 #: Runs ``cli.main`` on argv[2:] and prints, as its last line, how often each

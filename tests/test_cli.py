@@ -1344,6 +1344,38 @@ def test_diff_loads_no_numpy(demo_manifest, tmp_path):
     assert (tmp_path / "diff" / "effective_rates_diff.csv").is_file()
 
 
+#: Runs ``cli.main`` on argv[1:] with a counting ``load_bundle`` set on cli first,
+#: then prints the taxcascade modules loaded and the count.
+VALIDATE_CHILD = """
+import json, sys
+import taxcascade.accounts as accounts
+import taxcascade.cli as cli
+
+calls = []
+cli.load_bundle = lambda *args, **kwargs: calls.append(1) or accounts.load_bundle(*args, **kwargs)
+rc = cli.main(sys.argv[1:])
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("taxcascade.")), len(calls)]))
+sys.exit(rc)
+"""
+
+
+def test_validate_loads_accounts_and_margins_alone(demo_manifest, tmp_path):
+    # validate binds the accounts names alone, keeping one set from outside,
+    # and margins arrives through its margins check
+    proc = subprocess.run(
+        [sys.executable, "-c", VALIDATE_CHILD,
+         "validate", "--manifest", str(demo_manifest), "--out", str(tmp_path / "v")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, calls = json.loads(proc.stdout.splitlines()[-1])
+    assert modules == ["taxcascade.accounts", "taxcascade.cli", "taxcascade.margins",
+                       "taxcascade.tables"]
+    assert calls == 1
+    assert "margins: ok" in proc.stdout
+
+
 def test_package_names_load_on_first_use():
     proc = subprocess.run(
         [sys.executable, "-c",
