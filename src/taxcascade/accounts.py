@@ -13,8 +13,9 @@ Provides:
       Given a cache directory, load_bundle keeps the aligned tables of each
       bundle it parses there, named by a hash of the bytes they were parsed
       from, and reads them back instead of parsing the same bytes again.
-      store_entry, read_float_entry and write_float_entry keep other entries
-      in the same directory, under the same byte bound.
+    - cache_entry, read_entry / write_entry: the one key rule and the one entry
+      format of the cache, parsed tables and condition numbers alike: float64
+      arrays saved one after another, then the XOR of their 8-byte words.
     - read_table: the one reader of delimited text, bundle tables and
       ``--scenario`` files alike; a rejected file is named as ``file:line``.
     - validate: diagnostic checks that never raise, as a ValidationReport.
@@ -29,8 +30,9 @@ import io
 import json
 import os
 import re
-import struct
+import shutil
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -43,8 +45,8 @@ from .tables import COMPONENT_ORDER, N_COMPONENTS, DemandComponent, listing
 
 # Relative tolerance for the row balance supply = flows + final demand and for
 # statutory-vs-destination consistency.  Published tables are rounded to
-# currency millions; this absorbs rounding while still catching structural
-# errors.
+# currency millions; this absorbs rounding while still catching a misplaced or
+# missing cell.
 BALANCE_RTOL = 1e-6
 
 
@@ -540,13 +542,12 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-#: Bytes the files of the cache may hold, parsed tables and condition numbers alike;
-#: storing an entry deletes the least recently used until they fit, and an entry
-#: larger than this is not stored.
+#: Bytes the files of the cache may hold, every entry alike; storing an entry deletes
+#: the least recently used until they fit, and an entry larger than this is not stored.
 CACHE_BYTES = 256 << 20
 
 #: The modules that parse and align the tables: their source is part of every
-#: cache key, so that any change to the parser invalidates every entry.
+#: table entry's key, so that any change to the parser invalidates every entry.
 _PARSER_SOURCES = (Path(__file__), Path(__file__).with_name("tables.py"))
 
 
@@ -559,105 +560,94 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _cache_key(manifest: str, digests: list[str]) -> str:
-    """The name of the entry for the tables parsed from these bytes: the manifest's
-    and the tables' sha256 (``digests``, in :func:`_layout` order), with the
-    parser's source and numpy's version."""
-    parts = [hashlib.sha256(source.read_bytes()).hexdigest() for source in _PARSER_SOURCES]
-    parts += [np.__version__, manifest, *digests]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+def cache_entry(cache: str | Path | None, name: str, sources, *parts: str) -> Path | None:
+    """The entry ``<key>.<name>`` in ``cache`` of what the code in the files
+    ``sources`` computes from the inputs ``parts`` name: ``key`` is a sha256 over
+    the sha256 of each source, numpy's version and each part, one a line.  None
+    without a cache, or when a source cannot be read."""
+    if cache is None:
+        return None
+    try:
+        lines = [*map(file_digest, sources), np.__version__, *parts]
+    except OSError:
+        return None
+    key = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return Path(cache) / f"{key}.{name}"
 
 
-def _read_entry(entry: Path, shapes: list[tuple[int, int]]) -> list[np.ndarray] | None:
-    """The arrays stored in ``entry``, or None unless it holds exactly one
-    column-major float64 array of each of ``shapes``; pickled data is never read."""
+def _checksum(arrays: list[np.ndarray]) -> np.ndarray:
+    """(1,) uint64, the XOR of every 8-byte word of ``arrays``: one flipped bit of
+    them flips the same bit of it."""
+    words = [np.bitwise_xor.reduce(a.view(np.uint64), axis=None) for a in arrays]
+    return np.bitwise_xor.reduce(words, keepdims=True)
+
+
+def read_entry(entry: Path | None, shapes: list[tuple[int, ...]]) -> list[np.ndarray] | None:
+    """The arrays :func:`write_entry` stored as ``entry``, or None unless it holds
+    exactly one column-major float64 array of each of ``shapes``, then their
+    :func:`_checksum`, which they match; pickled data is never read.  Reading an
+    entry counts as a use."""
+    if entry is None:
+        return None
     try:
         with open(entry, "rb") as fh:
-            arrays = [np.load(fh, allow_pickle=False) for _ in shapes]
+            *arrays, stored = [np.load(fh, allow_pickle=False) for _ in range(len(shapes) + 1)]
             if fh.read(1):
                 return None
-    # a damaged header can claim any shape, even one too big to allocate
-    except (OSError, ValueError, EOFError, MemoryError):
+    # a damaged header can claim any shape, even one too big to allocate, and np.load
+    # evaluates it as a Python literal: a flipped bit there raised SyntaxError,
+    # tokenize.TokenError and TypeError besides OSError, ValueError and EOFError
+    except Exception:
         return None
     for a, shape in zip(arrays, shapes):
         if a.dtype != np.float64 or a.shape != shape or not a.flags.f_contiguous:
             return None
-    try:
+    if stored.dtype != np.uint64 or stored.shape != (1,) or stored != _checksum(arrays):
+        return None
+    with suppress(OSError):
         os.utime(entry)  # the most recently used
-    except OSError:
-        pass
     # np.save stores an array that is both C- and F-contiguous as C: give each
     # the strides of read_table's column-major array
     return [a.ravel("F").reshape(shape, order="F") for a, shape in zip(arrays, shapes)]
 
 
-def _write_entry(entry: Path, arrays: list[np.ndarray]) -> None:
-    """Store ``arrays`` as ``entry`` by :func:`store_entry`, unless they alone would
-    be larger than :data:`CACHE_BYTES`."""
-    if sum(a.nbytes for a in arrays) > CACHE_BYTES:  # not even written
-        return
-
-    def write(fh) -> None:
-        for a in arrays:
-            np.save(fh, a, allow_pickle=False)
-
-    store_entry(entry, write)
-
-
-def store_entry(entry: Path, write) -> None:
-    """Store what ``write(fh)`` writes into a binary file as ``entry``, whole or
-    not at all, unless it is larger than :data:`CACHE_BYTES`; then delete the least
+def write_entry(entry: Path | None, arrays: list[np.ndarray]) -> None:
+    """Store float64 ``arrays``, then their :func:`_checksum`, as ``entry``, whole or
+    not at all, unless they are larger than :data:`CACHE_BYTES`; then delete the least
     recently used files in its directory, a killed writer's ``.tmp`` as an entry,
-    until those left hold at most :data:`CACHE_BYTES`."""
-    entry.parent.mkdir(parents=True, exist_ok=True)
+    until those left hold at most :data:`CACHE_BYTES`.  A directory in the entry's
+    place is removed; a symbolic link is replaced, never followed.  An entry that
+    cannot be stored is skipped: this never raises OSError."""
+    if entry is None or sum(a.nbytes for a in arrays) > CACHE_BYTES:  # not even written
+        return
     partial_entry = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
     try:
-        with open(partial_entry, "wb") as fh:
-            write(fh)
-            if fh.tell() > CACHE_BYTES:  # the arrays' headers, say, tipped it over
-                return
-        os.replace(partial_entry, entry)
-    finally:
-        if partial_entry.exists():
-            partial_entry.unlink()
-    by_use = []
-    for other in entry.parent.iterdir():
+        entry.parent.mkdir(parents=True, exist_ok=True)
         try:
-            stat = other.lstat()
-        except OSError:  # deleted by another process meanwhile
-            continue
-        if S_ISREG(stat.st_mode):
-            by_use.append((stat.st_mtime_ns, stat.st_size, other))
-    kept = 0
-    for _, size, old in sorted(by_use, reverse=True):
-        kept += size
-        if kept > CACHE_BYTES:
-            try:
-                old.unlink()
-            except OSError:
-                pass
-
-
-def read_float_entry(entry: Path) -> float | None:
-    """The float64 stored in ``entry`` by :func:`write_float_entry`, or None unless
-    it is a file of exactly 8 bytes; reading it counts as a use."""
-    try:
-        with open(entry, "rb") as fh:
-            data = fh.read(9)
-    except OSError:  # missing, a directory, unreadable
-        return None
-    if len(data) != 8:
-        return None
-    try:
-        os.utime(entry)  # the most recently used
+            with open(partial_entry, "wb") as fh:
+                for a in [*arrays, _checksum(arrays)]:
+                    np.save(fh, a, allow_pickle=False)
+                if fh.tell() > CACHE_BYTES:  # the arrays' headers, say, tipped it over
+                    return
+            if entry.is_dir() and not entry.is_symlink():
+                shutil.rmtree(entry)
+            os.replace(partial_entry, entry)
+        finally:
+            partial_entry.unlink(missing_ok=True)
+        by_use = []
+        for other in entry.parent.iterdir():
+            with suppress(OSError):  # deleted by another process meanwhile
+                stat = other.lstat()
+                if S_ISREG(stat.st_mode):
+                    by_use.append((stat.st_mtime_ns, stat.st_size, other))
+        kept = 0
+        for _, size, old in sorted(by_use, reverse=True):
+            kept += size
+            if kept > CACHE_BYTES:
+                with suppress(OSError):
+                    old.unlink()
     except OSError:
         pass
-    return struct.unpack("<d", data)[0]
-
-
-def write_float_entry(entry: Path, value: float) -> None:
-    """Store ``value`` as ``entry``, its 8 little-endian bytes, by :func:`store_entry`."""
-    store_entry(entry, lambda fh: fh.write(struct.pack("<d", value)))
 
 
 def load_bundle(
@@ -674,17 +664,17 @@ def load_bundle(
     but only the five tables are parsed; any other key, such as a descriptive
     ``metadata`` block, is not read.
 
-    With ``check=False`` only structural alignment is enforced; accounting
+    With ``check=False`` only alignment is enforced; accounting
     invariants are skipped so that diagnostic callers can obtain a report via
     :func:`validate` instead.
 
     With a ``cache`` directory, the five aligned tables are read from the
-    entry named by the sha256 of the manifest, of the five tables, of this
-    parser's source and of numpy's version, if it is there; else they are
-    parsed and stored under the name of the bytes parsed, not of those hashed
-    for the lookup.  Everything else runs as without it, on the same arrays
-    bit for bit.  The cache never fails a load: an entry that cannot be read
-    is a miss, and one that cannot be written is skipped.
+    entry :func:`cache_entry` names by this parser's source, numpy's version
+    and the sha256 of the manifest and of the five tables, if it is there;
+    else they are parsed and stored under the name of the bytes parsed, not of
+    those hashed for the lookup.  Everything else runs as without it, on the
+    same arrays bit for bit.  The cache never fails a load: an entry that
+    cannot be read is a miss, and one that cannot be written is skipped.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -757,17 +747,12 @@ def load_bundle(
             raise BundleError(f"{where}: {not_a_file(path)}: {path}")
 
     files = [paths[name] for name, _, _ in layout]
+    entry_of = partial(cache_entry, cache, "npy", _PARSER_SOURCES, sources["manifest"][1])
     arrays = None
     if cache is not None:
-        def entry(digests: list[str]) -> Path:
-            return Path(cache) / f"{_cache_key(sources['manifest'][1], digests)}.npy"
-
+        digests = [file_digest(path) for path in files]
         shapes = [(len(codes), len(wanted)) for _, wanted, _ in layout]
-        try:
-            digests = [file_digest(path) for path in files]
-            arrays = _read_entry(entry(digests), shapes)
-        except OSError:
-            pass
+        arrays = read_entry(entry_of(*digests), shapes)
     if arrays is None:  # a table that fails to parse raises here, and stores nothing
         rows = {code: i for i, code in enumerate(codes)}
         read = [
@@ -775,11 +760,7 @@ def load_bundle(
             for path, (name, wanted, _) in zip(files, layout)
         ]
         arrays, digests = [table[2] for table in read], [table[3] for table in read]
-        if cache is not None:
-            try:
-                _write_entry(entry(digests), arrays)
-            except OSError:
-                pass
+        write_entry(entry_of(*digests), arrays)
     aligned = {name: array for (name, _, _), array in zip(layout, arrays)}
     hashed = dict(zip(aligned, digests))
     for name, rel in tables.items():  # any entry not parsed is hashed here, once

@@ -6,7 +6,9 @@ command on the same bundle reproduces every output file byte for byte, with
 the BLAS libraries on one thread unless the environment sets their count.
 ``validate`` and ``compute`` keep the parsed tables of each bundle in
 :func:`cache_directory`, and ``compute`` the condition number of each share
-system; a rerun on unchanged input reads them from there.
+system, each as one checksummed entry (see
+:func:`taxcascade.accounts.write_entry`); a rerun on unchanged input reads them
+from there, and parses or solves again where an entry is missing or damaged.
 """
 
 from __future__ import annotations

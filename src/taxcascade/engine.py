@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .accounts import (
-    Activity, IOAccounts, TaxDestinationTable, read_float_entry, write_float_entry,
+    Activity, IOAccounts, TaxDestinationTable, cache_entry, read_entry, write_entry,
 )
 from .tables import BLAS_THREADS, N_COMPONENTS, listing, totals
 
@@ -93,7 +93,7 @@ def first_stage_table(intermediate: np.ndarray, final: np.ndarray) -> np.ndarray
 
 
 class SingularSystemError(RuntimeError):
-    """The inter-activity share structure leaves (I - shares) unsolvable."""
+    """The inter-activity share pattern leaves (I - shares) unsolvable."""
 
 
 @dataclass(frozen=True)
@@ -274,14 +274,11 @@ def _result(
     )
 
 
-def condition_key(shares_digest: str) -> str:
-    """The name of the cache entry of the closed form's condition number for the
-    supply shares of this sha256 (:attr:`CoefficientSystem.shares_digest`): with
-    numpy's version, this module's source and the BLAS thread settings numpy
-    loaded with, which decide how the solve rounds."""
-    source = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
-    parts = [shares_digest, np.__version__, source, *_BLAS_SETTINGS]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+def condition_entry(cache: str | Path | None, shares_digest: str) -> Path | None:
+    """The cache entry of the closed form's condition number for the supply shares
+    of this sha256 (:attr:`CoefficientSystem.shares_digest`), by this module's source
+    and the BLAS thread settings numpy loaded with, which decide how the solve rounds."""
+    return cache_entry(cache, "condition", [Path(__file__)], shares_digest, *_BLAS_SETTINGS)
 
 
 def propagate_closed_form(
@@ -299,10 +296,10 @@ def propagate_closed_form(
     any LAPACK condition estimate.  A condition number beyond
     ``CONDITION_LIMIT``, or an exactly singular M, raises
     :class:`SingularSystemError`, in which case :func:`propagate_truncated`
-    can still show how mass circulates in such structures.
+    can still show how mass circulates in such systems.
 
     The condition number depends on the shares alone.  With a ``cache``
-    directory it is read from the entry :func:`condition_key` names, and only
+    directory it is read from the entry :func:`condition_entry` names, and only
     v is solved (nothing at all when the stored figure refuses); else both
     solves run and the figure they give, a refusal's too, is stored there.
     The cache never fails a run: an entry that cannot be read is a miss, and
@@ -311,16 +308,10 @@ def propagate_closed_form(
     # (I - shares).T bit for bit and in its memory order, without an identity matrix
     lhs = np.subtract(0.0, system.intermediate_shares, order="C").T
     lhs.flat[:: system.n + 1] += 1.0
-    entry = stored = None
-    if cache is not None:
-        try:
-            entry = Path(cache) / f"{condition_key(system.shares_digest)}.condition"
-        except OSError:  # this module's source cannot be read
-            pass
-        else:
-            stored = read_float_entry(entry)
-            if not (stored is None or stored >= 0):  # NaN or negative: no condition number
-                stored = None
+    entry = condition_entry(cache, system.shares_digest)
+    stored = read_entry(entry, [(1,)])
+    # NaN or negative: no condition number
+    stored = float(stored[0][0]) if stored and stored[0][0] >= 0 else None
     try:
         if stored is None:
             inverse_norm = np.abs(np.linalg.solve(lhs.T, np.ones(system.n))).max()
@@ -330,11 +321,8 @@ def propagate_closed_form(
         condition = math.inf
     else:
         condition = float(np.linalg.norm(lhs, 1) * inverse_norm) if stored is None else stored
-    if entry is not None and stored is None:
-        try:
-            write_float_entry(entry, condition)
-        except OSError:
-            pass
+    if stored is None:
+        write_entry(entry, [np.array([condition])])
     if not condition <= CONDITION_LIMIT:
         estimate = "inf" if condition == math.inf else f"{condition:.3e}"
         raise SingularSystemError(

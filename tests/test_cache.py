@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import taxcascade.accounts as accounts
 from taxcascade import Activity, IOAccounts, TaxDestinationTable, load_bundle, save_bundle
-from taxcascade.accounts import CACHE_BYTES, _layout
+from taxcascade.accounts import CACHE_BYTES, _layout, cache_entry, read_entry, write_entry
 from taxcascade.cli import main
-from taxcascade.engine import condition_key
+from taxcascade.engine import condition_entry
 
 from test_accounts import corrupt_demo_copy, write_minimal_bundle
 from test_bundle_properties import bits, bundles
@@ -51,6 +51,19 @@ def assert_same_load(got: IOAccounts, want: IOAccounts) -> None:
 
 def entries(directory: Path) -> set[Path]:
     return set(directory.glob("*.npy"))
+
+
+def table_entry(cache: Path, manifest: str, digests: list[str]) -> Path:
+    """The entry of the tables parsed from the manifest and tables of these sha256."""
+    return cache_entry(cache, "npy", accounts._PARSER_SOURCES, manifest, *digests)
+
+
+def flip_payload_bit(entry: Path) -> None:
+    """Flip the last bit of the first byte of ``entry``'s first array, past its
+    10-byte preamble and the header whose length the preamble ends with."""
+    data = bytearray(entry.read_bytes())
+    data[10 + int.from_bytes(data[8:10], "little")] ^= 1
+    entry.write_bytes(bytes(data))
 
 
 @pytest.fixture()
@@ -125,12 +138,20 @@ def damage(entry: Path, how: str, tmp_path: Path) -> None:
         load_bundle(write_minimal_bundle(tmp_path), cache=other)
         [foreign] = entries(other)
         os.replace(foreign, entry)
+    elif how == "directory":
+        entry.unlink()
+        entry.mkdir()
+        (entry / "file").write_bytes(b"")
+    elif how == "flipped bit":
+        flip_payload_bit(entry)
     else:
         with open(entry, "wb") as fh:
             np.save(fh, np.array([Trap()], dtype=object), allow_pickle=True)
 
 
-@pytest.mark.parametrize("how", ["empty", "truncated", "foreign", "pickled"])
+@pytest.mark.parametrize(
+    "how", ["empty", "truncated", "foreign", "pickled", "directory", "flipped bit"]
+)
 def test_a_damaged_entry_is_a_miss_and_is_rewritten(demo_manifest, tmp_path, counted_parses, how):
     cache = tmp_path / "cache"
     parsed = load_bundle(demo_manifest)
@@ -185,8 +206,8 @@ def test_a_table_rewritten_after_the_lookup_is_named_by_the_bytes_parsed(
     # the one entry stored is named by the bytes parsed, not those hashed for the lookup
     cache = tmp_path / "xdg" / "taxcascade"
     tables = [manifest.parent / f"{name}.csv" for name, _, _ in _layout(())]
-    key = accounts._cache_key(sha256(manifest), [sha256(path) for path in tables])
-    assert entries(cache) == {cache / f"{key}.npy"}
+    digests = [sha256(path) for path in tables]
+    assert entries(cache) == {table_entry(cache, sha256(manifest), digests)}
     parsed = load_bundle(manifest)
     assert parsed.marginshares.tolist() == [0.0, 0.0, 0.5]
     with mock.patch.object(accounts, "read_table", side_effect=AssertionError("parsed")):
@@ -212,7 +233,7 @@ def test_changing_one_byte_of_any_file_gives_a_new_key(demo_manifest, tmp_path):
 
 def test_the_key_covers_the_parser_source_and_numpy(tmp_path, monkeypatch):
     manifest, digests = "f" * 64, [str(k) * 64 for k in range(5)]
-    keys = {accounts._cache_key(manifest, digests)}
+    keys = {table_entry(tmp_path, manifest, digests)}
     sources = accounts._PARSER_SOURCES
     assert {path.name for path in sources} == {"accounts.py", "tables.py"}
     for k, source in enumerate(sources):
@@ -220,10 +241,53 @@ def test_the_key_covers_the_parser_source_and_numpy(tmp_path, monkeypatch):
         edited.write_bytes(source.read_bytes() + b"\n")
         with monkeypatch.context() as patch:
             patch.setattr(accounts, "_PARSER_SOURCES", (*sources[:k], edited, *sources[k + 1 :]))
-            keys.add(accounts._cache_key(manifest, digests))
+            keys.add(table_entry(tmp_path, manifest, digests))
     monkeypatch.setattr(np, "__version__", "0.0.0")
-    keys.add(accounts._cache_key(manifest, digests))
+    keys.add(table_entry(tmp_path, manifest, digests))
     assert len(keys) == 4
+
+
+def test_there_is_no_entry_without_a_cache_or_with_an_unreadable_source(tmp_path):
+    sources = accounts._PARSER_SOURCES
+    assert table_entry(None, "f" * 64, []) is None
+    assert cache_entry(tmp_path, "npy", [*sources, tmp_path / "missing.py"], "f" * 64) is None
+    assert table_entry(tmp_path, "f" * 64, []).parent == tmp_path
+
+
+def test_every_single_bit_flip_of_an_entry_is_a_miss_or_reads_the_same_arrays(tmp_path):
+    """A flip in the payload or the checksum is a miss; one in a header is a miss
+    too, unless it leaves the header's meaning alone (``<f8`` read as ``=f8``)."""
+    arrays = [np.asfortranarray(np.arange(6.0).reshape(3, 2)), np.array([[0.5], [-1.0], [2.0]])]
+    entry = tmp_path / "entry.npy"
+    write_entry(entry, arrays)
+    data = entry.read_bytes()
+    misses = 0
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        entry.write_bytes(bytes(flipped))
+        read = read_entry(entry, [(3, 2), (3, 1)])
+        if read is None:
+            misses += 1
+        else:
+            assert bit // 8 < len(data) - 8 and all(map(np.array_equal, read, arrays)), bit
+    payloads = 8 * (6 + 3 + 1)
+    assert payloads < misses < 8 * len(data)
+
+
+def test_a_symbolic_link_in_an_entry_s_place_is_replaced_and_never_followed(tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "kept").write_bytes(b"kept")
+    entry = tmp_path / "cache" / "entry.npy"
+    entry.parent.mkdir()
+    entry.symlink_to(target)
+    table = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
+    write_entry(entry, [table])
+    assert entry.is_file() and not entry.is_symlink()
+    assert [path.name for path in target.iterdir()] == ["kept"]
+    [stored] = read_entry(entry, [(2, 2)])
+    np.testing.assert_array_equal(stored, table)
 
 
 def relabelled(demo_manifest: Path, directory: Path, k: int) -> Path:
@@ -384,7 +448,7 @@ def test_cold_and_warm_commands_write_the_same_bytes(
     }
     assert len(shares) == 2
     assert set((cache / "taxcascade").glob("*.condition")) == {
-        cache / "taxcascade" / f"{condition_key(digest)}.condition" for digest in shares
+        condition_entry(cache / "taxcascade", digest) for digest in shares
     }
     assert solves == {"cold": len(closed_forms) + len(shares), "warm": len(closed_forms)}
 

@@ -1,6 +1,8 @@
 """Property tests of the cascade over balanced random accounts: incidence and
 rates follow the activities when the manifest lists them in another order,
-doubling every tax doubles every incidence cell exactly on both methods,
+doubling every tax doubles every incidence cell exactly on both methods, as
+rescaling every money table by a power of two rescales every incidence cell and
+leaves the shares, the rates and the condition number bit for bit,
 incidence is linear in the scenario scales, both methods conserve tax, the
 closed form, the truncated stage loop and the plain-Python stage oracle
 agree, the scaled input plus ``margin_adjustment.csv`` is the redistributed
@@ -34,6 +36,7 @@ from taxcascade.reporting import result_record, write_margin_audit
 from taxcascade.tables import incidence_cells
 
 from oracles import make_activities, random_accounts, stagewise_final_incidence
+from test_bundle_properties import bits
 from test_margins import assert_margin_audit_is_exact
 
 
@@ -155,6 +158,46 @@ def test_both_methods_conserve_tax(accounts):
     system = coefficient_system(accounts)
     for propagate in METHODS:
         assert propagate(system).conserved
+
+
+def rescaled(accounts: IOAccounts, factor: float) -> IOAccounts:
+    """``accounts`` with every money table times ``factor``; margin shares are not money."""
+    taxdest = accounts.taxdest
+    return IOAccounts(
+        activities=accounts.activities,
+        flows=accounts.flows * factor,
+        finaldemand=accounts.finaldemand * factor,
+        supply=accounts.supply * factor,
+        taxdest=TaxDestinationTable(
+            dest=taxdest.dest * factor, statutory=taxdest.statutory * factor
+        ),
+        marginshares=accounts.marginshares,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(accounts=economies(), k=st.integers(-20, 20))
+def test_units_rescale_incidence_exactly_and_leave_shares_rates_and_condition(accounts, k):
+    runs = []
+    for source in (accounts, rescaled(accounts, 2.0**k)):
+        adjusted, _ = redistribute_margins(source)
+        system = build_system(adjusted)
+        results = [propagate(system) for propagate in METHODS]
+        rates = [effective_rates(result, adjusted.finaldemand, threshold=0.0) for result in results]
+        runs.append((system, results, rates))
+    (system, results, rates), (scaled_system, scaled_results, scaled_rates) = runs
+    for name in ("intermediate_shares", "final_shares"):
+        np.testing.assert_array_equal(
+            bits(getattr(scaled_system, name)), bits(getattr(system, name)), name
+        )
+    assert scaled_results[0].condition == results[0].condition
+    for result, scaled, report, scaled_report in zip(results, scaled_results, rates, scaled_rates):
+        assert scaled.stages == result.stages
+        np.testing.assert_array_equal(
+            bits(scaled.final_incidence), bits(2.0**k * result.final_incidence)
+        )
+        np.testing.assert_array_equal(bits(scaled_report.rates), bits(report.rates))
+        np.testing.assert_array_equal(scaled_report.masked, report.masked)
 
 
 #: Eight scenario scales in [0, 3] in steps of 0.01; an economy uses its first n.

@@ -7,7 +7,6 @@ import math
 import os
 import re
 import shutil
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -22,9 +21,10 @@ from taxcascade import (
     redistribute_margins, save_bundle,
 )
 from taxcascade.cli import main
-from taxcascade.engine import _array_digest, condition_key
+from taxcascade.accounts import read_entry, write_entry
+from taxcascade.engine import _array_digest, condition_entry
 
-from test_cache import tree
+from test_cache import flip_payload_bit, tree
 from test_cli import loop_bundle
 
 
@@ -48,7 +48,12 @@ def condition_entries(cache: Path) -> set[Path]:
 
 
 def stored(entry: Path) -> float:
-    return struct.unpack("<d", entry.read_bytes())[0]
+    [condition] = read_entry(entry, [(1,)])
+    return float(condition[0])
+
+
+def store(entry: Path, value: float) -> None:
+    write_entry(entry, [np.array([value])])
 
 
 def run(manifest: Path, out: Path, capsys, *extra: str):
@@ -74,7 +79,7 @@ def test_a_warm_compute_solves_once_and_a_cold_one_twice(
     audit = json.loads(runs[0][2]["audit.json"])
     assert stored(entry) == audit["solve"]["condition"]
     digest = json.loads(runs[0][2]["system_digest.json"])["sha256"]["intermediate_shares"]
-    assert entry.name == f"{condition_key(digest)}.condition"
+    assert entry == condition_entry(cache, digest)
 
 
 @pytest.fixture()
@@ -106,20 +111,25 @@ def test_the_key_covers_the_shares_numpy_and_the_engine_source(demo_system, tmp_
         demo_system.activities, flipped, demo_system.final_shares,
         demo_system.intermediate_tax, demo_system.final_tax,
     )
-    keys = {condition_key(demo_system.shares_digest), condition_key(other.shares_digest)}
+    keys = {
+        condition_entry(tmp_path, demo_system.shares_digest),
+        condition_entry(tmp_path, other.shares_digest),
+    }
     edited = tmp_path / "engine.py"
     edited.write_bytes(Path(engine.__file__).read_bytes() + b"\n")
     with monkeypatch.context() as patch:
         patch.setattr(engine, "__file__", str(edited))
-        keys.add(condition_key(demo_system.shares_digest))
+        keys.add(condition_entry(tmp_path, demo_system.shares_digest))
     monkeypatch.setattr(np, "__version__", "0.0.0")
-    keys.add(condition_key(demo_system.shares_digest))
+    keys.add(condition_entry(tmp_path, demo_system.shares_digest))
     assert len(keys) == 4
 
 
-#: Prints the condition key of one share digest, as a process started with the
-#: environment it is given computes it.
-KEY_IN_A_PROCESS = "from taxcascade.engine import condition_key; print(condition_key('0' * 64))"
+#: Prints the condition entry of one share digest, as a process started with the
+#: environment it is given names it.
+KEY_IN_A_PROCESS = (
+    "from taxcascade.engine import condition_entry; print(condition_entry('.', '0' * 64))"
+)
 
 
 def test_the_key_covers_the_blas_threads_numpy_loaded_with():
@@ -135,22 +145,21 @@ def test_the_key_covers_the_blas_threads_numpy_loaded_with():
 
 
 def damage(entry: Path, how: str) -> None:
-    value = stored(entry)
-    entry.unlink()
+    value, data = stored(entry), entry.read_bytes()
     if how == "directory":
+        entry.unlink()
         entry.mkdir()
+    elif how == "flipped bit":
+        flip_payload_bit(entry)
+    elif how in ("nan", "negative"):  # a whole entry, checksum and all
+        store(entry, math.nan if how == "nan" else -value)
     else:
-        data = {
-            "empty": b"",
-            "7 bytes": struct.pack("<d", value)[:7],
-            "9 bytes": struct.pack("<d", value) + b"\0",
-            "nan": struct.pack("<d", math.nan),
-            "negative": struct.pack("<d", -value),
-        }[how]
-        entry.write_bytes(data)
+        entry.write_bytes({"empty": b"", "short": data[:-1], "trailing byte": data + b"\0"}[how])
 
 
-@pytest.mark.parametrize("how", ["empty", "7 bytes", "9 bytes", "directory", "nan", "negative"])
+@pytest.mark.parametrize(
+    "how", ["empty", "short", "trailing byte", "directory", "nan", "negative", "flipped bit"]
+)
 def test_a_damaged_condition_entry_is_a_miss_and_is_written_again(
     demo_manifest, tmp_path, cache, capsys, solves, how
 ):
@@ -165,10 +174,8 @@ def test_a_damaged_condition_entry_is_a_miss_and_is_written_again(
     assert solves.call_count == 2  # a miss: the condition solved again
     solves.reset_mock()
     assert run(demo_manifest, out, capsys) == cold
-    if how == "directory":  # no file can replace it: each run is a miss, and completes
-        assert entry.is_dir() and solves.call_count == 2
-    else:
-        assert entry.read_bytes() == kept and solves.call_count == 1
+    assert solves.call_count == 1  # a hit on the entry the miss wrote again
+    assert entry.is_file() and entry.read_bytes() == kept
     assert condition_entries(cache) == {entry}
 
 
@@ -212,7 +219,7 @@ def test_a_stored_figure_beyond_the_limit_refuses_a_solvable_system(
     out = tmp_path / "out"
     assert run(demo_manifest, out, capsys)[0] == 0
     [entry] = condition_entries(cache)
-    entry.write_bytes(struct.pack("<d", value))
+    store(entry, value)
     rc, printed, written = run(demo_manifest, out, capsys)
     assert rc == 1 and written is None
     estimate = "inf" if value == math.inf else "1.000e+13"
