@@ -14,8 +14,9 @@ Provides:
       bundle it parses there, named by a hash of the bytes they were parsed
       from, and reads them back instead of parsing the same bytes again.
     - cache_entry, read_entry / write_entry: the one key rule and the one entry
-      format of the cache, parsed tables and condition numbers alike: float64
-      arrays saved one after another, then the XOR of their 8-byte words.
+      format of the cache, parsed tables, condition numbers and the truncated
+      loop's blocks alike: float64 arrays saved one after another, then the XOR
+      of their 8-byte words.
     - read_table: the one reader of delimited text, bundle tables and
       ``--scenario`` files alike; a rejected file is named as ``file:line``.
     - validate: diagnostic checks that never raise, as a ValidationReport.

@@ -6,9 +6,10 @@ command on the same bundle reproduces every output file byte for byte, with
 the BLAS libraries on one thread unless the environment sets their count.
 ``validate`` and ``compute`` keep the parsed tables of each bundle in
 :func:`cache_directory`, and ``compute`` the condition number of each share
-system, each as one checksummed entry (see
-:func:`taxcascade.accounts.write_entry`); a rerun on unchanged input reads them
-from there, and parses or solves again where an entry is missing or damaged.
+system and the truncated loop's jump-ahead blocks, each as one checksummed entry
+(see :func:`taxcascade.accounts.write_entry`); a rerun on unchanged input reads
+them from there, and parses, solves or builds again where an entry is missing or
+damaged.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ def _default_out() -> str:
 def cache_directory() -> Path | None:
     """Where ``validate`` and ``compute`` keep parsed tables (see
     :func:`taxcascade.accounts.load_bundle`), and ``compute`` the closed form's
-    condition numbers (see :func:`taxcascade.engine.propagate_closed_form`):
+    condition numbers and the truncated loop's blocks (see
+    :func:`taxcascade.engine.propagate_closed_form` and
+    :func:`~taxcascade.engine.propagate_truncated`):
     ``$XDG_CACHE_HOME/taxcascade``, or ``~/.cache/taxcascade``; None, and no
     cache, without an absolute home."""
     base = os.environ.get("XDG_CACHE_HOME", "")
@@ -264,7 +267,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
         expenditure = engine_input.finaldemand.copy(order="K")
         del engine_input
         if args.method == "truncated":
-            result = propagate_truncated(system, tol=args.tol, maxstages=args.maxstages)
+            result = propagate_truncated(
+                system, tol=args.tol, maxstages=args.maxstages, cache=cache
+            )
         else:
             result = propagate_closed_form(system, cache=cache)
         report = effective_rates(result, expenditure, threshold=args.threshold)

@@ -66,8 +66,17 @@ ROW_SHARE_ATOL = 1e-9
 #: Columns of a :func:`first_stage_table` after the six final-demand components.
 INTERMEDIATE, STATUTORY = N_COMPONENTS, N_COMPONENTS + 1
 #: The BLAS thread settings numpy loaded with (it loads before this module): a solve
-#: rounds by thread count, so they are part of every condition entry's key.
+#: rounds by thread count, so they are part of every engine entry's key.
 _BLAS_SETTINGS = tuple(f"{name}={os.environ.get(name, '')}" for name in BLAS_THREADS)
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_features__
+#: The CPU features numpy detected.  An OpenBLAS built for several CPUs picks its
+#: kernels, and so how a product or a solve rounds, by the CPU it runs on, so they
+#: are part of every engine entry's key too: a cache shared between machines
+#: never gives one the bits another's kernels rounded to.
+_CPU_FEATURES = "cpu=" + ",".join(sorted(name for name, on in __cpu_features__.items() if on))
 
 
 def _array_digest(arr: np.ndarray) -> str:
@@ -119,7 +128,8 @@ class CoefficientSystem:
     @cached_property
     def shares_digest(self) -> str:
         """sha256 of ``intermediate_shares`` in C order, hashed once: the closed
-        form's condition entry is named by it and ``system_digest.json`` records it."""
+        form's condition entry and the truncated loop's block entries are named by
+        it (:func:`shares_entry`), and ``system_digest.json`` records it."""
         return _array_digest(self.intermediate_shares)
 
 
@@ -274,11 +284,18 @@ def _result(
     )
 
 
-def condition_entry(cache: str | Path | None, shares_digest: str) -> Path | None:
-    """The cache entry of the closed form's condition number for the supply shares
-    of this sha256 (:attr:`CoefficientSystem.shares_digest`), by this module's source
-    and the BLAS thread settings numpy loaded with, which decide how the solve rounds."""
-    return cache_entry(cache, "condition", [Path(__file__)], shares_digest, *_BLAS_SETTINGS)
+def shares_entry(
+    cache: str | Path | None, name: str, shares_digest: str, *parts: str
+) -> Path | None:
+    """The cache entry ``name`` of what this module computes from the supply shares
+    of this sha256 (:attr:`CoefficientSystem.shares_digest`) alone, and ``parts``:
+    keyed by this module's source, the BLAS thread settings numpy loaded with and
+    the CPU features it detected, which decide how a solve or a product rounds.
+    The closed form's ``condition`` and each of the truncated loop's ``blocks``
+    (its size a part) are such entries."""
+    return cache_entry(
+        cache, name, [Path(__file__)], shares_digest, *_BLAS_SETTINGS, _CPU_FEATURES, *parts
+    )
 
 
 def propagate_closed_form(
@@ -299,7 +316,7 @@ def propagate_closed_form(
     can still show how mass circulates in such systems.
 
     The condition number depends on the shares alone.  With a ``cache``
-    directory it is read from the entry :func:`condition_entry` names, and only
+    directory it is read from the entry :func:`shares_entry` names, and only
     v is solved (nothing at all when the stored figure refuses); else both
     solves run and the figure they give, a refusal's too, is stored there.
     The cache never fails a run: an entry that cannot be read is a miss, and
@@ -308,7 +325,7 @@ def propagate_closed_form(
     # (I - shares).T bit for bit and in its memory order, without an identity matrix
     lhs = np.subtract(0.0, system.intermediate_shares, order="C").T
     lhs.flat[:: system.n + 1] += 1.0
-    entry = condition_entry(cache, system.shares_digest)
+    entry = shares_entry(cache, "condition", system.shares_digest)
     stored = read_entry(entry, [(1,)])
     # NaN or negative: no condition number
     stored = float(stored[0][0]) if stored and stored[0][0] >= 0 else None
@@ -370,6 +387,8 @@ def propagate_truncated(
     system: CoefficientSystem,
     tol: float = TRUNCATION_TOL,
     maxstages: int = 10000,
+    *,
+    cache: str | Path | None = None,
 ) -> IncidenceResult:
     """Propagate stage by stage, truncating the series explicitly.
 
@@ -400,6 +419,15 @@ def propagate_truncated(
     ``truncation`` records the block and the stage it was built at.  A series
     that diverges until the mass overflows raises ValueError at the next
     checkpoint.
+
+    P and Q depend on the shares alone.  With a ``cache`` directory each block
+    the schedule builds is read from the entry :func:`shares_entry` names by
+    its size; a miss builds it by doubling the block before it, as without a
+    cache, and stores it there.  The doubling is deterministic, so a stored
+    pair holds the bits a build gives, and the schedule, the stages and every
+    cell are the same, warm or cold.  The cache never fails a run: a damaged
+    entry is a miss, which builds that block from S again, and an entry that
+    cannot be written is skipped.
     """
     if maxstages < 1:
         raise ValueError(f"maxstages must be at least 1, got {maxstages}")
@@ -448,20 +476,35 @@ def propagate_truncated(
             target = _block_to_build(n, min(LOOKAHEAD * stages, maxstages - stages), block)
             if target == block or not contracting:
                 continue
+            from_stage = stages
+            entry = shares_entry(cache, "blocks", system.shares_digest, f"block={target}")
+            if entry is not None and entry.is_file():
+                # one pair held at a time, so a damaged entry is built from S again
+                total = work = ahead = None
+                # P and Q are (n, n) whatever the block, so the entry names its block
+                stored = read_entry(entry, [(1,), (n, n), (n, n)])
+                if stored and stored[0][0] == target:
+                    # stored transposed, as read_entry gives column-major arrays: back
+                    # in the memory order they were built in, which the matvecs round by
+                    block, total, ahead = target, stored[1].T, stored[2].T
+                    continue
+                block = 1
             if block == 1:
                 shares = system.intermediate_shares.T
                 total = np.array(shares, order="C")
                 total.flat[:: n + 1] += 1.0
-                work, ahead = np.empty((n, n)), np.empty((n, n))
+                ahead = np.empty((n, n))
                 np.matmul(shares, shares, out=ahead)
                 block = 2
+            if work is None:  # none yet, or the pair was read
+                work = np.empty((n, n))
             while block < target:
                 np.matmul(ahead, total, out=work)
                 total += work
                 np.matmul(ahead, ahead, out=work)
                 ahead, work = work, ahead
                 block *= 2
-            from_stage = stages
+            write_entry(entry, [np.array([float(block)]), total.T, ahead.T])
         del shares_t, total, work, ahead
         series_residual = float(mass.sum())
     # a non-finite mass stays in the running sum, so one test after the loop finds it

@@ -24,6 +24,13 @@ def parsed_table_cache(tmp_path_factory) -> Path:
 
 
 @pytest.fixture()
+def cache(tmp_path, monkeypatch) -> Path:
+    """The cache directory of the commands run in this test, empty at its start."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "taxcascade"
+
+
+@pytest.fixture()
 def demo_manifest() -> Path:
     return DATA / "demo_bundle" / "manifest.json"
 

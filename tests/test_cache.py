@@ -22,7 +22,7 @@ import taxcascade.accounts as accounts
 from taxcascade import Activity, IOAccounts, TaxDestinationTable, load_bundle, save_bundle
 from taxcascade.accounts import CACHE_BYTES, _layout, cache_entry, read_entry, write_entry
 from taxcascade.cli import main
-from taxcascade.engine import condition_entry
+from taxcascade.engine import shares_entry
 
 from test_accounts import corrupt_demo_copy, write_minimal_bundle
 from test_bundle_properties import bits, bundles
@@ -448,7 +448,7 @@ def test_cold_and_warm_commands_write_the_same_bytes(
     }
     assert len(shares) == 2
     assert set((cache / "taxcascade").glob("*.condition")) == {
-        condition_entry(cache / "taxcascade", digest) for digest in shares
+        shares_entry(cache / "taxcascade", "condition", digest) for digest in shares
     }
     assert solves == {"cold": len(closed_forms) + len(shares), "warm": len(closed_forms)}
 

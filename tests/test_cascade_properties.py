@@ -273,3 +273,44 @@ def test_saved_bundle_gives_the_bits_of_column_major_accounts(tmp_path, seed, pr
         np.testing.assert_array_equal(
             np.asarray(values).view(np.int64), np.asarray(saved[name]).view(np.int64), name
         )
+
+
+def split(accounts: IOAccounts, j: int, w: float) -> IOAccounts:
+    """``accounts`` with activity ``j`` split in two of the same shares: ``j`` keeps
+    ``w`` of each of its rows and columns (flows, final demand, supply and
+    destinations) and a new last activity takes the rest, with ``j``'s margin share."""
+    n = accounts.n
+    expand = np.vstack([np.eye(n), np.eye(n)[j]])  # (n + 1, n): new rows from old
+    expand[j, j], expand[n, j] = w, 1.0 - w
+    dest = accounts.taxdest.dest
+    dest = np.hstack([expand @ dest[:, :n] @ expand.T, expand @ dest[:, n:]])
+    return IOAccounts(
+        activities=make_activities(n + 1),
+        flows=expand @ accounts.flows @ expand.T,
+        finaldemand=expand @ accounts.finaldemand,
+        supply=expand @ accounts.supply,
+        taxdest=TaxDestinationTable(dest=dest, statutory=dest.sum(axis=1)),
+        marginshares=np.append(accounts.marginshares, accounts.marginshares[j]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(accounts=economies(), data=st.data(), w=st.integers(1, 99).map(lambda k: k / 100))
+def test_splitting_an_activity_in_two_of_its_shares_splits_its_incidence(accounts, data, w):
+    j = data.draw(st.integers(0, accounts.n - 1))
+    runs = []
+    for source in (accounts, split(accounts, j, w)):
+        adjusted, _ = redistribute_margins(source)
+        system = build_system(adjusted)
+        results = [propagate(system) for propagate in METHODS]
+        runs.append(
+            [(r, effective_rates(r, adjusted.finaldemand, threshold=0.0)) for r in results]
+        )
+    for (result, report), (halves, halves_report) in zip(*runs):
+        final = result.final_incidence
+        summed = halves.final_incidence[:-1].copy()
+        summed[j] += halves.final_incidence[-1]
+        np.testing.assert_allclose(summed, final, rtol=0, atol=1e-12 * np.abs(final).max())
+        # each half carries j's rates; the Total row is the original's
+        rows = [*range(accounts.n), j, accounts.n]
+        np.testing.assert_allclose(halves_report.rates, report.rates[rows], rtol=1e-10, atol=0)

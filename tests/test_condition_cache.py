@@ -1,6 +1,7 @@
 """The closed form's condition number in the cache: a warm compute solves for v
-alone, a changed input of the key gives a new key, a damaged entry is a miss,
-and a stored refusal refuses in the words of the miss that stored it."""
+alone, a changed input of the key gives a new key (of the truncated loop's block
+entries too, which share the key rule), a damaged entry is a miss, and a stored
+refusal refuses in the words of the miss that stored it."""
 
 import json
 import math
@@ -22,7 +23,7 @@ from taxcascade import (
 )
 from taxcascade.cli import main
 from taxcascade.accounts import read_entry, write_entry
-from taxcascade.engine import _array_digest, condition_entry
+from taxcascade.engine import _array_digest, shares_entry
 
 from test_cache import flip_payload_bit, tree
 from test_cli import loop_bundle
@@ -34,13 +35,6 @@ def solves(monkeypatch) -> mock.Mock:
     spy = mock.Mock(wraps=np.linalg.solve)
     monkeypatch.setattr(np.linalg, "solve", spy)
     return spy
-
-
-@pytest.fixture()
-def cache(tmp_path, monkeypatch) -> Path:
-    """The cache directory of the commands run in this test, empty at its start."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    return tmp_path / "xdg" / "taxcascade"
 
 
 def condition_entries(cache: Path) -> set[Path]:
@@ -79,7 +73,7 @@ def test_a_warm_compute_solves_once_and_a_cold_one_twice(
     audit = json.loads(runs[0][2]["audit.json"])
     assert stored(entry) == audit["solve"]["condition"]
     digest = json.loads(runs[0][2]["system_digest.json"])["sha256"]["intermediate_shares"]
-    assert entry == condition_entry(cache, digest)
+    assert entry == shares_entry(cache, "condition", digest)
 
 
 @pytest.fixture()
@@ -102,6 +96,10 @@ def test_the_library_solves_twice_unless_given_a_cache(demo_system, tmp_path, so
     assert len(condition_entries(tmp_path)) == 1
 
 
+#: The parts each kind of engine entry adds to the key of its share system.
+ENTRY_PARTS = {"condition": (), "blocks": ("block=8",)}
+
+
 def test_the_key_covers_the_shares_numpy_and_the_engine_source(demo_system, tmp_path, monkeypatch):
     shares = demo_system.intermediate_shares
     assert demo_system.shares_digest == _array_digest(shares)
@@ -111,25 +109,39 @@ def test_the_key_covers_the_shares_numpy_and_the_engine_source(demo_system, tmp_
         demo_system.activities, flipped, demo_system.final_shares,
         demo_system.intermediate_tax, demo_system.final_tax,
     )
-    keys = {
-        condition_entry(tmp_path, demo_system.shares_digest),
-        condition_entry(tmp_path, other.shares_digest),
-    }
     edited = tmp_path / "engine.py"
     edited.write_bytes(Path(engine.__file__).read_bytes() + b"\n")
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "__file__", str(edited))
-        keys.add(condition_entry(tmp_path, demo_system.shares_digest))
-    monkeypatch.setattr(np, "__version__", "0.0.0")
-    keys.add(condition_entry(tmp_path, demo_system.shares_digest))
-    assert len(keys) == 4
+    digests = (demo_system.shares_digest, other.shares_digest)
+    for name, parts in ENTRY_PARTS.items():
+        keys = {shares_entry(tmp_path, name, digest, *parts) for digest in digests}
+        for changed in ((engine, "__file__", str(edited)), (np, "__version__", "0.0.0")):
+            with monkeypatch.context() as patch:
+                patch.setattr(*changed)
+                keys.add(shares_entry(tmp_path, name, digests[0], *parts))
+        assert len(keys) == 4, name
+        assert all(entry.suffix == f".{name}" for entry in keys)
 
 
-#: Prints the condition entry of one share digest, as a process started with the
-#: environment it is given names it.
-KEY_IN_A_PROCESS = (
-    "from taxcascade.engine import condition_entry; print(condition_entry('.', '0' * 64))"
-)
+def test_the_key_covers_the_block_size_and_the_cpu_features(demo_system, tmp_path, monkeypatch):
+    digest = demo_system.shares_digest
+    keys = {shares_entry(tmp_path, "blocks", digest, f"block={k}") for k in (8, 16)}
+    assert len(keys) == 2
+    for name, parts in ENTRY_PARTS.items():
+        keys.add(shares_entry(tmp_path, name, digest, *parts))
+        # the same machine but for one CPU feature numpy found, as another host detects
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_CPU_FEATURES", engine._CPU_FEATURES.replace("cpu=", "cpu=X,"))
+            keys.add(shares_entry(tmp_path, name, digest, *parts))
+    assert len(keys) == 5
+
+
+#: Prints each kind of engine entry of one share digest, as a process started with
+#: the environment it is given names it.
+KEY_IN_A_PROCESS = f"""
+from taxcascade.engine import shares_entry
+for name, parts in {ENTRY_PARTS!r}.items():
+    print(shares_entry(".", name, "0" * 64, *parts))
+"""
 
 
 def test_the_key_covers_the_blas_threads_numpy_loaded_with():
@@ -140,19 +152,21 @@ def test_the_key_covers_the_blas_threads_numpy_loaded_with():
             [sys.executable, "-c", KEY_IN_A_PROCESS], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        keys.append(proc.stdout.strip())
-    assert keys[0] == keys[2] != keys[1]
+        keys.append(proc.stdout.split())
+    assert len(keys[0]) == len(ENTRY_PARTS)
+    for once, other, again in zip(*keys):
+        assert once == again != other
 
 
 def damage(entry: Path, how: str) -> None:
-    value, data = stored(entry), entry.read_bytes()
+    data = entry.read_bytes()
     if how == "directory":
         entry.unlink()
         entry.mkdir()
     elif how == "flipped bit":
         flip_payload_bit(entry)
-    elif how in ("nan", "negative"):  # a whole entry, checksum and all
-        store(entry, math.nan if how == "nan" else -value)
+    elif how in ("nan", "negative"):  # a whole condition entry, checksum and all
+        store(entry, math.nan if how == "nan" else -stored(entry))
     else:
         entry.write_bytes({"empty": b"", "short": data[:-1], "trailing byte": data + b"\0"}[how])
 

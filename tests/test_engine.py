@@ -349,19 +349,26 @@ def test_truncated_blocks_keep_the_stage_count():
     assert again.series_residual == result.series_residual
 
 
-def test_truncated_row_sum_above_one_takes_no_block():
+def row_sum_above_one_system() -> CoefficientSystem:
+    """``near_closed_system(0.99)`` with its last activity selling 1.3 times its
+    supply to the others, the excess drawn from inventory: a converging series
+    that no block may jump."""
     system = near_closed_system(0.99)
     shares = system.intermediate_shares.copy()
     shares[-1] *= 1.3 / shares[-1].sum()
     final_shares = system.final_shares.copy()
     final_shares[-1, 4] = -0.3
-    system = CoefficientSystem(
+    return CoefficientSystem(
         activities=system.activities,
         intermediate_shares=shares,
         final_shares=final_shares,
         intermediate_tax=system.intermediate_tax,
         final_tax=system.final_tax,
     )
+
+
+def test_truncated_row_sum_above_one_takes_no_block():
+    system = row_sum_above_one_system()
     result = propagate_truncated(system, tol=1e-12, maxstages=100_000)
     expected, mass, stages = single_stage_loop(system, tol=1e-12, maxstages=100_000)
     assert result.truncation == Truncation(block=1, from_stage=0)
