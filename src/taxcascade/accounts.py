@@ -18,7 +18,8 @@ Provides:
       loop's blocks alike: float64 arrays saved one after another, then the XOR
       of their 8-byte words.
     - read_table: the one reader of delimited text, bundle tables and
-      ``--scenario`` files alike; a rejected file is named as ``file:line``.
+      ``--scenario`` files alike, each placed by its caller and refused in the
+      same words for a code with no row; a rejected line is named as ``file:line``.
     - validate: diagnostic checks that never raise, as a ValidationReport.
 """
 
@@ -424,25 +425,24 @@ class _Hashing(io.FileIO):
         return n
 
 
-def read_table(path: Path, delimiter: str, place=None) -> tuple[list, list, np.ndarray, str]:
-    """Read one table: its header, code column first, its row codes in file
-    order, the matrix of its values, one row per code, and the sha256 of its bytes.
+def read_table(path: Path, delimiter: str, place) -> tuple[set[str], np.ndarray, str]:
+    """Read one table: the set of its row codes, the matrix ``place(header)``
+    gives, holding the table's values, and the sha256 of its bytes.
 
-    numpy's C parser reads :data:`PARSE_ROWS` lines at a time, with no Python
-    object per cell; blank lines, and lines of delimiters and spaces, are
-    skipped.  Where numpy rejects a chunk, or reads it to the wrong shape or
-    with a repeated code, each of its lines is parsed again alone, only to
-    raise at the first defect with its ``path:line``.  ``place(header)``, if
-    given, returns the header position (code column excluded) of each column
-    to keep and the row of each code, which must each have one line: the
-    chunks are then stored as parsed into one column-major matrix.
+    ``place`` gets the header, code column first, and returns the header
+    position (code column excluded) of each column to keep, the codes of the
+    matrix's rows, and the matrix; a row no line has keeps what it held, and
+    a code with no row is refused once every line is checked.  numpy's C
+    parser reads :data:`PARSE_ROWS` lines at a time, with no Python object
+    per cell; blank lines, and lines of delimiters and spaces, are skipped.
+    Where numpy rejects a chunk, or reads it to the wrong shape or with a
+    repeated code, each of its lines is parsed again alone, only to raise at
+    the first defect with its ``path:line``.
     """
     try:
         with _Hashing(path) as raw:
             fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
             return (*_read_lines(path, fh, delimiter, place), raw.sha256.hexdigest())
-    except FileNotFoundError:
-        raise BundleError(f"table file not found: {path}") from None
     except UnicodeDecodeError:
         try:  # decoded whole, the error gives the byte's offset in the file,
             path.read_bytes().decode("utf-8")  # counting a BOM, a character in utf-8
@@ -451,7 +451,7 @@ def read_table(path: Path, delimiter: str, place=None) -> tuple[list, list, np.n
         raise
 
 
-def _read_lines(path: Path, fh, delimiter: str, place) -> tuple[list[str], list[str], np.ndarray]:
+def _read_lines(path: Path, fh, delimiter: str, place) -> tuple[set[str], np.ndarray]:
     """:func:`read_table` of the open file ``fh``."""
     # numbered as str.splitlines numbers the text; the first character settles most lines
     numbered = enumerate((line for physical in fh for line in physical.splitlines()), 1)
@@ -465,14 +465,11 @@ def _read_lines(path: Path, fh, delimiter: str, place) -> tuple[list[str], list[
     if _spans_lines(line, delimiter):
         raise BundleError(f"{path}:{k}: {_OPEN_QUOTE}")
     header = [cell.strip() for cell in _parse([line], delimiter, dtype=object)[0]]
-    if place is not None:
-        columns, rows = place(header)
-        # column-major, as the accounts have always been: numpy's sums round by
-        # memory order, so another layout would change the outputs' last digits
-        out = np.empty((len(rows), len(columns)), order="F")
-        if columns == list(range(len(header) - 1)):
-            columns = slice(None)  # every column in order: each chunk is stored as it is
-    chunks, codes, seen = [], [], set()  # codes and seen differ only at a repeated code
+    columns, order, out = place(header)
+    rows = {code: i for i, code in enumerate(order)}
+    if columns == list(range(len(header) - 1)):
+        columns = slice(None)  # every column in order: each chunk is stored as it is
+    codes, seen = [], set()  # differ only at a repeated code
     # the code column: keep each code, and give numpy a number for it
     keep_code = {0: lambda cell: codes.append(cell.strip()) or 0.0}
     while chunk := list(islice(lines, PARSE_ROWS)):
@@ -489,33 +486,25 @@ def _read_lines(path: Path, fh, delimiter: str, place) -> tuple[list[str], list[
             or len(seen) != len(codes) or _spans_lines(kept[-1], delimiter)
         ):
             _first_defect(path, header, numbers, kept, set(codes[:start]), delimiter)
-        if place is None:
-            chunks.append(values[:, 1:])
-            continue
         at = [rows.get(code, -1) for code in codes[start:]]
         if -1 not in at:  # else an unknown code, named once every line is checked
             # one slice where the rows run in order, as save_bundle writes them
             target = slice(at[0], at[-1] + 1) if at == list(range(at[0], at[-1] + 1)) else at
             out[target] = values[:, 1:][:, columns]
-    if place is None:
-        return header, codes, np.concatenate(chunks) if chunks else np.empty((0, len(header) - 1))
-    for problem, names in (
-        ("missing rows for activities", [code for code in rows if code not in seen]),
-        ("unknown activity rows", [code for code in codes if code not in rows]),
-    ):
-        if names:
-            raise BundleError(f"{path}: {problem}: {', '.join(listing(names))}")
-    return header, codes, out
+    unknown = [code for code in codes if code not in rows]
+    if unknown:
+        raise BundleError(f"{path}: unknown activity codes: {', '.join(listing(unknown))}")
+    return seen, out
 
 
-def _placement(table: str, path: Path, wanted: list[str], rows: dict, header: list[str]):
-    """Where :func:`read_table` puts a bundle table: the header position of each
-    of ``wanted`` (any one name in a one-column table), and ``rows``."""
+def _placement(table: str, path: Path, wanted: list[str], codes: tuple, header: list[str]):
+    """Where :func:`read_table` puts a bundle table: the header position of each of
+    ``wanted`` (any one name in a one-column table), ``codes``, and an empty matrix."""
     header = header[1:]
     if table in ("supply", "marginshares"):
         if len(header) != 1:
             raise BundleError(f"{path}: {table} table must have one value column")
-        return [0], rows
+        wanted = header
     have, want = Counter(header), Counter(wanted)
     if have != want:
         problems = [
@@ -525,7 +514,10 @@ def _placement(table: str, path: Path, wanted: list[str], rows: dict, header: li
         ]
         raise BundleError(f"{path}: {table} columns do not match: {'; '.join(problems)}")
     position = {name: i for i, name in enumerate(header)}
-    return [position[name] for name in wanted], rows
+    # column-major, as the accounts have always been: numpy's sums round by
+    # memory order, so another layout would change the outputs' last digits
+    out = np.empty((len(codes), len(wanted)), order="F")
+    return [position[name] for name in wanted], codes, out
 
 
 def not_a_file(path: Path) -> str:
@@ -755,12 +747,15 @@ def load_bundle(
         shapes = [(len(codes), len(wanted)) for _, wanted, _ in layout]
         arrays = read_entry(entry_of(*digests), shapes)
     if arrays is None:  # a table that fails to parse raises here, and stores nothing
-        rows = {code: i for i, code in enumerate(codes)}
-        read = [
-            read_table(path, delimiter, partial(_placement, name, path, wanted, rows))
-            for path, (name, wanted, _) in zip(files, layout)
-        ]
-        arrays, digests = [table[2] for table in read], [table[3] for table in read]
+        arrays, digests = [], []
+        for path, (name, wanted, _) in zip(files, layout):
+            place = partial(_placement, name, path, wanted, codes)
+            found, array, digest = read_table(path, delimiter, place)
+            if len(found) < len(codes):  # each code found has a row of its own
+                missing = listing([code for code in codes if code not in found])
+                raise BundleError(f"{path}: missing rows for activities: {', '.join(missing)}")
+            arrays.append(array)
+            digests.append(digest)
         write_entry(entry_of(*digests), arrays)
     aligned = {name: array for (name, _, _), array in zip(layout, arrays)}
     hashed = dict(zip(aligned, digests))

@@ -27,7 +27,6 @@ from .tables import (
     DISPLAY_THRESHOLD,
     DemandComponent,
     diff_tables,
-    listing,
     read_result_json,
     write_json,
     write_rows,
@@ -211,22 +210,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _read_scenario(path: Path, accounts: IOAccounts) -> tuple[np.ndarray, str]:
-    """Scale factors by activity from a ``code,scale`` file, read as bundle tables are,
-    and the sha256 of the bytes read."""
+    """Scale factors by activity from a ``code,scale`` file, read and placed as bundle
+    tables are, and the sha256 of the bytes read; an activity the file omits keeps 1.0."""
     import numpy as np
 
     if not path.is_file():
         raise ValueError(f"--scenario: {not_a_file(path)}: {path}")
-    header, codes, values, digest = read_table(path, ",")
-    if [name.lower() for name in header] != ["code", "scale"]:
-        raise ValueError(f"{path}: expected the header code,scale, got {header}")
-    index = {code: i for i, code in enumerate(accounts.codes)}
-    unknown = [code for code in codes if code not in index]
-    if unknown:
-        raise ValueError(f"{path}: unknown activity codes: {', '.join(listing(unknown))}")
-    scale = np.ones(accounts.n)
-    scale[[index[code] for code in codes]] = values[:, 0]
-    return scale, digest
+
+    def place(header: list[str]):
+        if [name.lower() for name in header] != ["code", "scale"]:
+            raise ValueError(f"{path}: expected the header code,scale, got {header}")
+        return [0], accounts.codes, np.ones((accounts.n, 1))
+
+    _, scale, digest = read_table(path, ",", place)
+    return scale[:, 0], digest
 
 
 def cmd_compute(args: argparse.Namespace) -> int:

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import accounts as bundles
 from .accounts import (
     Activity, IOAccounts, TaxDestinationTable, cache_entry, read_entry, write_entry,
 )
@@ -127,9 +128,9 @@ class CoefficientSystem:
 
     @cached_property
     def shares_digest(self) -> str:
-        """sha256 of ``intermediate_shares`` in C order, hashed once: the closed
-        form's condition entry and the truncated loop's block entries are named by
-        it (:func:`shares_entry`), and ``system_digest.json`` records it."""
+        """sha256 of ``intermediate_shares`` in C order, hashed once: given a cache,
+        the closed form's condition entry and the truncated loop's block entries are
+        named by it (:func:`shares_entry`), and ``system_digest.json`` records it."""
         return _array_digest(self.intermediate_shares)
 
 
@@ -319,13 +320,13 @@ def propagate_closed_form(
     directory it is read from the entry :func:`shares_entry` names, and only
     v is solved (nothing at all when the stored figure refuses); else both
     solves run and the figure they give, a refusal's too, is stored there.
-    The cache never fails a run: an entry that cannot be read is a miss, and
-    one that cannot be written is skipped.
+    Without a cache the shares are not hashed.  The cache never fails a run: an
+    entry that cannot be read is a miss, and one that cannot be written is skipped.
     """
     # (I - shares).T bit for bit and in its memory order, without an identity matrix
     lhs = np.subtract(0.0, system.intermediate_shares, order="C").T
     lhs.flat[:: system.n + 1] += 1.0
-    entry = shares_entry(cache, "condition", system.shares_digest)
+    entry = None if cache is None else shares_entry(cache, "condition", system.shares_digest)
     stored = read_entry(entry, [(1,)])
     # NaN or negative: no condition number
     stored = float(stored[0][0]) if stored and stored[0][0] >= 0 else None
@@ -425,15 +426,21 @@ def propagate_truncated(
     its size; a miss builds it by doubling the block before it, as without a
     cache, and stores it there.  The doubling is deterministic, so a stored
     pair holds the bits a build gives, and the schedule, the stages and every
-    cell are the same, warm or cold.  The cache never fails a run: a damaged
-    entry is a miss, which builds that block from S again, and an entry that
-    cannot be written is skipped.
+    cell are the same, warm or cold.  Blocks are stored only where every block
+    the schedule can build, log2(:data:`MAX_BLOCK`) pairs of (n, n) arrays, fits
+    in :data:`~taxcascade.accounts.CACHE_BYTES` beside the bundle's tables
+    (2n + 15 cells a row), so that none evicts another or the tables: up to n =
+    1364.  Without a cache the shares are not hashed.  The cache never fails a
+    run: a damaged entry is a miss, which builds that block from S again, and
+    an entry that cannot be written is skipped.
     """
     if maxstages < 1:
         raise ValueError(f"maxstages must be at least 1, got {maxstages}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     n = system.n
+    fits = 16 * n * n * (MAX_BLOCK.bit_length() - 1) + 8 * n * (2 * n + 15) <= bundles.CACHE_BYTES
+    cache = Path(cache) if cache is not None and fits else None  # a Path is never false
     shares_t = np.ascontiguousarray(system.intermediate_shares.T)
     # blocks may run: no row sum above 1
     contracting = np.abs(system.intermediate_shares).sum(axis=1).max(initial=0.0) <= 1.0
@@ -477,7 +484,7 @@ def propagate_truncated(
             if target == block or not contracting:
                 continue
             from_stage = stages
-            entry = shares_entry(cache, "blocks", system.shares_digest, f"block={target}")
+            entry = cache and shares_entry(cache, "blocks", system.shares_digest, f"block={target}")
             if entry is not None and entry.is_file():
                 # one pair held at a time, so a damaged entry is built from S again
                 total = work = ahead = None

@@ -166,6 +166,36 @@ def test_missing_and_unknown_rows(tmp_path):
         load_bundle(manifest)
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("code,supply\nup,100\n", "missing rows for activities: down"),
+        ("code,supply\nup,100\ndown,50\nelse,1\n", "unknown activity codes: else"),
+        # both: the unknown codes first, in the words a --scenario file gets
+        ("code,supply\nup,100\nelse,50\n", "unknown activity codes: else"),
+    ],
+    ids=["missing", "unknown", "both"],
+)
+def test_a_table_has_a_row_for_each_activity_and_no_other(tmp_path, text, problem):
+    manifest = write_minimal_bundle(tmp_path, edits={"supply.csv": text})
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    assert str(excinfo.value) == f"{tmp_path / 'supply.csv'}: {problem}"
+
+
+def test_the_first_table_without_a_row_for_each_activity_is_named(tmp_path):
+    manifest = write_minimal_bundle(
+        tmp_path,
+        edits={
+            "flows.csv": "code,down,up\nup,40,20\n",
+            "supply.csv": "code,supply\nup,100\ndown,50\nelse,1\n",
+        },
+    )
+    with pytest.raises(BundleError) as excinfo:
+        load_bundle(manifest)
+    assert str(excinfo.value) == f"{tmp_path / 'flows.csv'}: missing rows for activities: down"
+
+
 def test_wrong_columns_rejected(tmp_path):
     manifest = write_minimal_bundle(
         tmp_path, edits={"flows.csv": "code,up,sideways\nup,20,40\ndown,5,10\n"}

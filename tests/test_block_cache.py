@@ -1,18 +1,21 @@
 """The truncated loop's jump-ahead blocks in the cache: a warm run, and a scenario
 on the same shares, make no dense product, every run gives the same bits and
-bytes, a damaged entry is a miss that is built and written again, and a system
-that takes no block stores none."""
+bytes, a damaged entry is a miss that is built and written again, a system
+that takes no block stores none, and neither does one whose blocks would not all
+fit in the cache beside the tables; without a cache the shares are not hashed."""
 
 import json
 import shutil
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import taxcascade.accounts as accounts
 import taxcascade.cli as cli
-from taxcascade import propagate_truncated, save_bundle
+from taxcascade import propagate_closed_form, propagate_truncated, save_bundle
 from taxcascade.cli import main
 from taxcascade.engine import shares_entry
 
@@ -76,6 +79,19 @@ def test_the_library_builds_each_block_once_given_a_cache(tmp_path, cache, produ
         assert_same_run(run, uncached)
     assert len(block_entries(tmp_path)) > 1
     assert not cache.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "propagate",
+    [propagate_closed_form, partial(propagate_truncated, tol=1e-12, maxstages=100_000)],
+    ids=["closed-form", "truncated"],
+)
+def test_without_a_cache_the_shares_are_not_hashed(tmp_path, propagate):
+    system = near_closed_system(0.999)
+    propagate(system)
+    assert "shares_digest" not in vars(system)
+    propagate(system, cache=tmp_path)  # names its entries by the digest
+    assert "shares_digest" in vars(system)
 
 
 def test_a_system_that_takes_no_block_stores_none(tmp_path, products):
@@ -167,3 +183,26 @@ def test_a_damaged_block_entry_is_a_miss_and_is_written_again(
     assert products.call_count == 0  # a hit on the entry the miss wrote again
     assert {path: path.read_bytes() for path in stored.values()} == kept
     assert block_entries(cache) == set(kept)
+
+
+def test_blocks_that_do_not_all_fit_beside_the_tables_are_not_stored(
+    tmp_path, accounts_factory, cache, capsys, products, monkeypatch
+):
+    manifest, out = deep_chain_bundle(tmp_path, accounts_factory), tmp_path / "out"
+    cold = run(manifest, out, capsys)
+    [tables] = cache.glob("*.npy")
+    stored = tables.read_bytes()
+    block_bytes = max(entry.stat().st_size for entry in block_entries(cache))
+    block = json.loads(cold[2]["audit.json"])["truncation"]["block"]
+    assert block > 8  # the schedule builds more than three blocks
+    # room for the tables and three blocks: storing each block as it is built
+    # evicted the one before, and then the tables, run after run
+    monkeypatch.setattr(accounts, "CACHE_BYTES", len(stored) + 3 * block_bytes)
+    shutil.rmtree(cache)
+    for _ in range(4):
+        products.reset_mock()
+        assert run(manifest, out, capsys) == cold
+        assert products.call_count == products_to_build(block)
+        assert not block_entries(cache)
+        assert [entry.name for entry in cache.iterdir()] == [tables.name]
+        assert tables.read_bytes() == stored

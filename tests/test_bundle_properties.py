@@ -148,21 +148,30 @@ def oracle(lines: list[str], delimiter: str) -> tuple:
 def test_table_loads_as_oracle_reads_it_or_names_a_bad_line(header, rows, delimiter):
     lines = [delimiter.join(row) for row in (header, *rows)]
     names, codes, values, bad = oracle(lines, delimiter)
+    headers = []
+
+    def place(header):
+        """Every column in header order, and a row for each code the oracle reads,
+        in reverse order."""
+        headers.append(header)
+        order = list(dict.fromkeys(codes))[::-1]
+        return list(range(len(header) - 1)), order, np.empty((len(order), len(header) - 1))
+
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "table.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
-            loaded = read_table(path, delimiter)
+            loaded = read_table(path, delimiter, place)
         except BundleError as exc:
             line = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
             assert line, str(exc)
             assert int(line[1]) in bad, str(exc)
             return
     assert not bad
-    assert loaded[0] == names
-    assert loaded[1] == codes
-    expected = np.array(values, dtype=float).reshape(len(codes), len(names) - 1)
-    np.testing.assert_array_equal(bits(loaded[2]), bits(expected))
+    assert headers == [names]
+    assert loaded[0] == set(codes)
+    expected = np.array(values, dtype=float).reshape(len(codes), len(names) - 1)[::-1]
+    np.testing.assert_array_equal(bits(loaded[1]), bits(expected))
 
 
 @pytest.mark.parametrize(

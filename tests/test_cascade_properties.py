@@ -7,18 +7,21 @@ incidence is linear in the scenario scales, both methods conserve tax, the
 closed form, the truncated stage loop and the plain-Python stage oracle
 agree, the scaled input plus ``margin_adjustment.csv`` is the redistributed
 input, a run's recorded totals are the Total row of its table, and accounts laid
-out as the loader parses them give the bits of their saved bundle."""
+out as the loader parses them give the bits of their saved bundle.  The rescaling
+and the split of an activity in two also hold through ``compute`` on saved bundles."""
 
 import json
 import tempfile
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taxcascade.cli as cli
 from taxcascade import (
     COMPONENT_ORDER,
     IOAccounts,
@@ -314,3 +317,62 @@ def test_splitting_an_activity_in_two_of_its_shares_splits_its_incidence(account
         # each half carries j's rates; the Total row is the original's
         rows = [*range(accounts.n), j, accounts.n]
         np.testing.assert_allclose(halves_report.rates, report.rates[rows], rtol=1e-10, atol=0)
+
+
+#: The command-line flags of each method.
+CLI_METHODS = ((), ("--method", "truncated", "--tol", "1e-12", "--maxstages", "100000"))
+
+
+def computed(accounts: IOAccounts, directory: Path) -> list[tuple[dict, dict]]:
+    """``result.json`` and ``audit.json`` of ``compute`` on ``accounts`` saved as a
+    bundle, every rate unmasked, by each of :data:`CLI_METHODS`; without a cache,
+    so that every run solves and builds from its own bundle."""
+    manifest = save_bundle(accounts, directory / "bundle")
+    runs = []
+    with mock.patch.object(cli, "cache_directory", lambda: None):
+        for k, method in enumerate(CLI_METHODS):
+            out = directory / f"out{k}"
+            argv = ["compute", "--manifest", str(manifest), "--out", str(out), "--threshold", "0"]
+            assert cli.main([*argv, *method]) == 0
+            runs.append(tuple(
+                json.loads((out / name).read_text(encoding="utf-8"))
+                for name in ("result.json", "audit.json")
+            ))
+    return runs
+
+
+INCIDENCE = ("first_stage_intermediate", "first_stage_final", "subsequent_stage", "final_incidence")
+
+
+@settings(max_examples=8, deadline=None)
+@given(accounts=economies())
+def test_compute_on_saved_bundles_rescales_incidence_exactly_and_leaves_rates(accounts):
+    with tempfile.TemporaryDirectory() as directory:
+        runs = {k: computed(rescaled(accounts, 2.0**k), Path(directory, str(k))) for k in (0, -7, 5)}
+    for k in (-7, 5):
+        for (result, audit), (scaled, scaled_audit) in zip(runs[0], runs[k]):
+            for key in INCIDENCE:
+                assert np.array_equal(np.array(scaled[key]), 2.0**k * np.array(result[key])), key
+            totals = result["totals"]
+            assert scaled["totals"]["final_incidence"] == 2.0**k * totals["final_incidence"]
+            assert scaled["effective_rates"] == result["effective_rates"]
+            assert scaled_audit["solve"]["condition"] == audit["solve"]["condition"]
+            assert scaled_audit["stages"] == audit["stages"]
+
+
+@settings(max_examples=8, deadline=None)
+@given(accounts=economies(), data=st.data(), w=st.integers(1, 99).map(lambda k: k / 100))
+def test_compute_on_a_saved_bundle_with_an_activity_split_splits_its_incidence(accounts, data, w):
+    j = data.draw(st.integers(0, accounts.n - 1))
+    with tempfile.TemporaryDirectory() as directory:
+        runs = [computed(source, Path(directory, name))
+                for name, source in (("whole", accounts), ("split", split(accounts, j, w)))]
+    for (result, _), (halves, _) in zip(*runs):
+        final, split_final = np.array(result["final_incidence"]), np.array(halves["final_incidence"])
+        summed = split_final[:-1].copy()
+        summed[j] += split_final[-1]
+        np.testing.assert_allclose(summed, final, rtol=0, atol=1e-12 * np.abs(final).max())
+        # each half carries j's rates, masked (null) where j's are; the Total row is the original's
+        rates, split_rates = (np.array(r["effective_rates"], dtype=float) for r in (result, halves))
+        rows = [*range(accounts.n), j, accounts.n]
+        np.testing.assert_allclose(split_rates, rates[rows], rtol=1e-10, atol=0)
