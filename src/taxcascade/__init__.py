@@ -52,7 +52,6 @@ _EXPORTS = {
         "COMPONENT_ORDER",
         "DEFAULT_REPORT_COMPONENTS",
         "DISPLAY_THRESHOLD",
-        "DemandComponent",
         "N_COMPONENTS",
     ),
 }

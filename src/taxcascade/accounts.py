@@ -5,8 +5,9 @@ code.  Loading aligns every table to the manifest's activity order, checks the
 accounting identities, and returns an immutable :class:`IOAccounts`.
 
 Provides:
-    - DemandComponent: the six final-demand components, in canonical column
-      order used by every matrix in the package (defined in ``tables``).
+    - COMPONENT_ORDER: the names of the six final-demand components, in the
+      canonical column order used by every matrix in the package (defined in
+      ``tables``).
     - Activity, TaxDestinationTable, IOAccounts: value types.
     - load_bundle / save_bundle: manifest-driven ingestion and serialization of
       the five tables; no other manifest key (``metadata`` among them) is read.
@@ -43,7 +44,7 @@ from stat import S_ISREG
 
 import numpy as np
 
-from .tables import COMPONENT_ORDER, N_COMPONENTS, DemandComponent, listing
+from .tables import COMPONENT_ORDER, N_COMPONENTS, listing
 
 # Relative tolerance for the row balance supply = flows + final demand and for
 # statutory-vs-destination consistency.  Published tables are rounded to
@@ -59,7 +60,7 @@ class BundleError(ValueError):
 # Header names with a fixed meaning in bundle tables; activity codes must not
 # collide with them (or with component names).
 _RESERVED_HEADERS = frozenset(
-    {"statutory", "supply", "marginshare"} | {c.value for c in COMPONENT_ORDER}
+    {"statutory", "supply", "marginshare", *COMPONENT_ORDER}
 )
 
 
@@ -288,7 +289,7 @@ def validate(accounts: IOAccounts, *, margins: bool = True) -> ValidationReport:
     destsums = accounts.taxdest.dest.sum(axis=1)
     statutory_residual = np.abs(statutory - destsums)
     # Inventory change may legitimately be negative (stock drawdowns).
-    inventory = DemandComponent.INVENTORY.column
+    inventory = COMPONENT_ORDER.index("inventory")
     fd_negative = fd < 0
     fd_negative[:, inventory] = False
     total = float(statutory.sum())
@@ -314,7 +315,7 @@ def validate(accounts: IOAccounts, *, margins: bool = True) -> ValidationReport:
             "finaldemand_signs",
             fd_negative,
             max(0.0, float(-np.delete(fd, inventory, axis=1).min(initial=0.0))),
-            lambda i, j: f"{codes[i]} / {COMPONENT_ORDER[j].value}: {fd[i, j]}",
+            lambda i, j: f"{codes[i]} / {COMPONENT_ORDER[j]}: {fd[i, j]}",
         ),
         _check(
             "supply_signs",
@@ -356,14 +357,13 @@ def _layout(codes: tuple[str, ...]) -> tuple:
     ``getter(accounts)`` gives the table's values as an (n, columns) matrix
     with rows in ``codes`` order.
     """
-    canonical = [c.value for c in COMPONENT_ORDER]
     return (
         ("flows", list(codes), lambda a: a.flows),
-        ("finaldemand", canonical, lambda a: a.finaldemand),
+        ("finaldemand", COMPONENT_ORDER, lambda a: a.finaldemand),
         ("supply", ["supply"], lambda a: a.supply[:, None]),
         (
             "taxdest",
-            ["statutory", *codes, *canonical],
+            ["statutory", *codes, *COMPONENT_ORDER],
             lambda a: np.column_stack([a.taxdest.statutory, a.taxdest.dest]),
         ),
         ("marginshares", ["marginshare"], lambda a: a.marginshares[:, None]),
@@ -717,7 +717,7 @@ def load_bundle(
     components = [
         str(c) for c in _expect(manifest["components"], list, f"{manifest_path}: components")
     ]
-    canonical = [c.value for c in COMPONENT_ORDER]
+    canonical = list(COMPONENT_ORDER)
     if sorted(components) != sorted(canonical):
         raise BundleError(
             f"{manifest_path}: components must be exactly {canonical}, got {components}"
@@ -831,7 +831,7 @@ def save_bundle(accounts: IOAccounts, directory: str | Path) -> Path:
             fh.writelines(_table_lines(codes, values(accounts)))
     manifest = {
         "activities": [{"code": a.code, "label": a.label} for a in accounts.activities],
-        "components": [c.value for c in COMPONENT_ORDER],
+        "components": list(COMPONENT_ORDER),
         "delimiter": ",",
         "tables": tables,
     }

@@ -25,7 +25,6 @@ from .tables import (
     COMPONENT_ORDER,
     DEFAULT_REPORT_COMPONENTS,
     DISPLAY_THRESHOLD,
-    DemandComponent,
     diff_tables,
     read_result_json,
     write_json,
@@ -51,7 +50,7 @@ _PIPELINE = {
         "SingularSystemError", "apply_scenario", "build_system", "propagate_closed_form",
         "propagate_truncated",
     ),
-    "margins": ("MarginError", "redistribute_margins"),
+    "margins": ("redistribute_margins",),
     "rates": ("effective_rates",),
     "reporting": (
         "audit_record", "bundle_digests", "result_record", "write_final_incidence_table",
@@ -102,18 +101,14 @@ def cache_directory() -> Path | None:
     return Path(base, "taxcascade") if os.path.isabs(base) else None
 
 
-def _components_arg(text: str) -> tuple[DemandComponent, ...]:
-    by_value = {c.value: c for c in COMPONENT_ORDER}
-    chosen = []
-    for name in text.split(","):
-        name = name.strip().lower()
-        if name not in by_value:
+def _components_arg(text: str) -> tuple[str, ...]:
+    chosen = tuple(name.strip().lower() for name in text.split(","))
+    for name in chosen:
+        if name not in COMPONENT_ORDER:
             raise argparse.ArgumentTypeError(
-                f"unknown component {name!r}; choose from "
-                + ", ".join(by_value)
+                f"unknown component {name!r}; choose from {', '.join(COMPONENT_ORDER)}"
             )
-        chosen.append(by_value[name])
-    return tuple(chosen)
+    return chosen
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +304,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if not result.converged and not args.allow_residual:
             return 1
         return 0
-    except (BundleError, MarginError, SingularSystemError, ValueError, OSError) as exc:
+    except (SingularSystemError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -128,7 +128,7 @@ def refusals(accounts: IOAccounts, stripped: _Stripped | None = None) -> dict[st
     if not margin.any():
         return {}
     stripped = stripped or _strip_margins(accounts, margin)
-    destinations = accounts.codes + tuple(c.value for c in COMPONENT_ORDER)
+    destinations = accounts.codes + COMPONENT_ORDER
     dead = margin & (accounts.supply == 0)
     blocked = stripped.needs & (stripped.weight_base == 0)
     found = {
@@ -158,7 +158,7 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     margin = mu > 0
     n = accounts.n
     codes = accounts.codes
-    destinations = codes + tuple(c.value for c in COMPONENT_ORDER)
+    destinations = codes + COMPONENT_ORDER
 
     if not margin.any():
         zeros = np.zeros(n + N_COMPONENTS)

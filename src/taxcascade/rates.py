@@ -19,7 +19,7 @@ from .accounts import Activity
 from .engine import (
     INTERMEDIATE, STATUTORY, CoefficientSystem, IncidenceResult, first_stage_table, with_totals
 )
-from .tables import COMPONENT_ORDER, DISPLAY_THRESHOLD, N_COMPONENTS, DemandComponent, listing
+from .tables import COMPONENT_ORDER, DISPLAY_THRESHOLD, N_COMPONENTS, listing
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def effective_rates(
     rates = np.full(incidence.shape, np.nan)
     np.divide(100.0 * incidence, net, out=rates, where=~masked)
 
-    labels = [c.value for c in COMPONENT_ORDER] + ["total"]
+    labels = [*COMPONENT_ORDER, "total"]
     rows, cols = np.nonzero(masked[:-1] & (expenditure[:-1] > threshold))
     cells = (
         f"{result.activities[i].code} / {labels[j]}: expenditure "
@@ -119,7 +119,7 @@ def single_rate_equivalent(result: IncidenceResult, expenditure) -> float:
     Grand-total incidence divided by household expenditure net of the
     incidence already borne by households, in percent.
     """
-    household = DemandComponent.HOUSEHOLDS.column
+    household = COMPONENT_ORDER.index("households")
     spent = _expenditure_table(result, expenditure)[-1, household]
     net_base = float(spent - result.component_totals[household])
     if net_base <= 0:

@@ -30,8 +30,8 @@ from .engine import (
 from .margins import MarginAdjustment
 from .rates import RateReport
 from .tables import (
-    COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, ND, DemandComponent, _component_columns,
-    _table_header, rate_cells, write_json, write_rows,
+    COMPONENT_ORDER, DEFAULT_REPORT_COMPONENTS, ND, _component_columns, _table_header,
+    incidence_cells, rate_cells, write_json, write_rows,
 )
 
 MONEY_PRECISION = 2
@@ -56,7 +56,7 @@ def write_first_stage_table(
     result: IncidenceResult,
     path: str | Path,
     *,
-    components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
+    components: tuple[str, ...] = DEFAULT_REPORT_COMPONENTS,
 ) -> Path:
     """Statutory tax and its first-stage split: intermediate vs final demand."""
     idx, names = _component_columns(components)
@@ -70,11 +70,11 @@ def write_final_incidence_table(
     result: IncidenceResult,
     path: str | Path,
     *,
-    components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
+    components: tuple[str, ...] = DEFAULT_REPORT_COMPONENTS,
 ) -> Path:
-    """Final incidence by component, with the cells of :func:`rate_cells` (the total
-    over all six components, so hidden ones still count)."""
-    cells = rate_cells(result.incidence_table.tolist(), components)
+    """Final incidence by component, with the cells of :func:`incidence_cells` (the
+    total over all six components, so hidden ones still count), as ``diff`` reads them."""
+    cells = incidence_cells(result.final_incidence.tolist(), components)
     rows = _table_rows(result.activities, cells, MONEY_PRECISION)
     return write_rows(Path(path), _table_header(components), rows)
 
@@ -83,7 +83,7 @@ def write_rates_table(
     report: RateReport,
     path: str | Path,
     *,
-    components: tuple[DemandComponent, ...] = DEFAULT_REPORT_COMPONENTS,
+    components: tuple[str, ...] = DEFAULT_REPORT_COMPONENTS,
 ) -> Path:
     """Effective rates, with the cells of :func:`rate_cells` (ND where masked)."""
     cells = rate_cells(report.rates.tolist(), components)
@@ -124,7 +124,7 @@ def result_record(
     result: IncidenceResult,
     report: RateReport,
     *,
-    components: tuple[DemandComponent, ...],
+    components: tuple[str, ...],
 ) -> dict:
     """The numbers of a run, ``result.json``: its totals and the full arrays diff reads."""
     totals = result.incidence_table[-1].tolist()
@@ -132,11 +132,11 @@ def result_record(
         "totals": {
             "statutory": result.statutory_total,
             "final_incidence": totals[-1],
-            "by_component": {c.value: totals[c.column] for c in COMPONENT_ORDER},
+            "by_component": dict(zip(COMPONENT_ORDER, totals)),
         },
         "activities": [a.code for a in result.activities],
         "labels": [a.label for a in result.activities],
-        "components": [c.value for c in COMPONENT_ORDER],
+        "components": list(COMPONENT_ORDER),
         "report_components": _component_columns(components)[1],
         "first_stage_intermediate": result.first_stage_intermediate.tolist(),
         "first_stage_final": result.first_stage_final.tolist(),
@@ -197,7 +197,7 @@ def audit_record(
         "solve": {"condition": result.condition, "residual": result.solve_residual},
         "truncation": None if result.truncation is None else asdict(result.truncation),
         "component_shares": {
-            c.value: None if math.isnan(share) else share
+            c: None if math.isnan(share) else share
             for c, share in zip(COMPONENT_ORDER, report.component_shares.tolist())
         },
         "diagnostics": list(report.diagnostics),

@@ -1,5 +1,6 @@
-"""Numpy-free layer: final-demand components, table layouts and totals, ``diff``,
-the JSON and CSV writers, and the one rule for listing offending items.
+"""Numpy-free layer: the final-demand components, plain names in one tuple, table
+layouts and totals, ``diff``, the JSON and CSV writers, and the one rule for listing
+offending items.
 
 ``taxcascade diff`` subtracts two ``result.json`` records and needs nothing
 else, so it runs on this module alone and never loads numpy.  The numpy
@@ -13,38 +14,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-from enum import Enum
 from itertools import islice
 from pathlib import Path
 
-
-class DemandComponent(Enum):
-    """Final-demand components, in canonical column order."""
-
-    EXPORTS = "exports"
-    GOVERNMENT = "government"
-    HOUSEHOLDS = "households"
-    ISFLSF = "isflsf"
-    GFCF = "gfcf"
-    INVENTORY = "inventory"
-
-    @property
-    def column(self) -> int:
-        return _COMPONENT_INDEX[self]
-
-
-COMPONENT_ORDER: tuple[DemandComponent, ...] = tuple(DemandComponent)
-_COMPONENT_INDEX = {c: i for i, c in enumerate(COMPONENT_ORDER)}
+#: Final-demand components by name, in canonical column order: a component is its
+#: name everywhere, and its column is its index here.
+COMPONENT_ORDER = ("exports", "government", "households", "isflsf", "gfcf", "inventory")
 N_COMPONENTS = len(COMPONENT_ORDER)
 
 # Default component subset for reports: nonprofit consumption and inventory
 # change are folded into totals but not shown as columns.
-DEFAULT_REPORT_COMPONENTS: tuple[DemandComponent, ...] = (
-    DemandComponent.EXPORTS,
-    DemandComponent.GOVERNMENT,
-    DemandComponent.HOUSEHOLDS,
-    DemandComponent.GFCF,
-)
+DEFAULT_REPORT_COMPONENTS = ("exports", "government", "households", "gfcf")
 
 #: Expenditure at or below this (currency millions) is too small for a
 #: meaningful rate and is masked as ND.
@@ -90,19 +70,19 @@ def totals(rows: list[list[float]]) -> tuple[list[float], list[float]]:
     return row_totals, [*map(math.fsum, zip(*rows)), math.fsum(row_totals)]
 
 
-def _component_columns(components: tuple[DemandComponent, ...]) -> tuple[list[int], list[str]]:
+def _component_columns(components: tuple[str, ...]) -> tuple[list[int], list[str]]:
     """Columns and names of the chosen components, in canonical order."""
-    indices = [c.column for c in COMPONENT_ORDER if c in components]
-    return indices, [COMPONENT_ORDER[i].value for i in indices]
+    indices = [i for i, c in enumerate(COMPONENT_ORDER) if c in components]
+    return indices, [COMPONENT_ORDER[i] for i in indices]
 
 
-def _table_header(components: tuple[DemandComponent, ...]) -> list[str]:
+def _table_header(components: tuple[str, ...]) -> list[str]:
     """Header of the final-incidence and rate tables."""
     return ["code", "label"] + _component_columns(components)[1] + ["total"]
 
 
 def rate_cells(
-    rates: list[list[float]], components: tuple[DemandComponent, ...]
+    rates: list[list[float]], components: tuple[str, ...]
 ) -> list[list[float]]:
     """The rate table's (n + 1, k + 1) cells, NaN where ND, from (n + 1, 7) ``rates``:
     activities then Total, by the shown components then the all-components column."""
@@ -111,7 +91,7 @@ def rate_cells(
 
 
 def incidence_cells(
-    final_incidence: list[list[float]], components: tuple[DemandComponent, ...]
+    final_incidence: list[list[float]], components: tuple[str, ...]
 ) -> list[list[float]]:
     """The final-incidence table's (n + 1, k + 1) cells from (n, 6) ``final_incidence``:
     the columns of :func:`rate_cells` (the total over all six components, so hidden
@@ -182,7 +162,7 @@ def read_result_json(path: Path) -> dict:
                     raise ValueError(
                         f"{path}: {key}[{i}][{j}] must be a number or null, got {value!r:.60}"
                     )
-    names = [c.value for c in COMPONENT_ORDER]
+    names = list(COMPONENT_ORDER)
     shown = record["report_components"]
     if not isinstance(shown, list):
         raise ValueError(f"{path}: report_components must be an array, got {shown!r:.60}")
@@ -217,7 +197,7 @@ def diff_tables(baseline: dict, scenario: dict) -> dict[str, tuple[list[str], li
     magnitude) from the full-precision cells the tables round.  ValueError when the runs
     show different columns or activities."""
     runs = (baseline, scenario)
-    components = [tuple(map(DemandComponent, r["report_components"])) for r in runs]
+    components = [r["report_components"] for r in runs]
     header_b, header_s = map(_table_header, components)
     if header_b != header_s:
         raise ValueError(f"column mismatch: {header_b} vs {header_s}")

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from taxcascade import (
+    COMPONENT_ORDER,
     Activity,
-    DemandComponent,
     IOAccounts,
     N_COMPONENTS,
     TaxDestinationTable,
@@ -55,12 +55,7 @@ INTERMEDIATE_SHARE_PCT = 43.3
 # transport, water transport.
 MARGIN_SHARES = {"a41": 0.895, "a42": 0.322, "a43": 0.079}
 
-FOUR_COMPONENTS = (
-    DemandComponent.EXPORTS,
-    DemandComponent.GOVERNMENT,
-    DemandComponent.HOUSEHOLDS,
-    DemandComponent.GFCF,
-)
+FOUR_COMPONENTS = ("exports", "government", "households", "gfcf")
 
 
 def _read_tsv(name: str) -> tuple[list[str], list[list[str]]]:
@@ -154,7 +149,7 @@ def build_accounts() -> IOAccounts:
         intermediate[producing, None] * flows[producing] / rowtotal[producing, None]
     )
     for j, component in enumerate(FOUR_COMPONENTS):
-        dest[:, n + component.column] = final4[:, j]
+        dest[:, n + COMPONENT_ORDER.index(component)] = final4[:, j]
 
     marginshares = np.zeros(n)
     for code, share in MARGIN_SHARES.items():

@@ -117,7 +117,7 @@ def dense_redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, Margin
     margin = mu > 0
     n = accounts.n
     codes = accounts.codes
-    destinations = codes + tuple(c.value for c in COMPONENT_ORDER)
+    destinations = codes + COMPONENT_ORDER
 
     if not margin.any():
         zeros = np.zeros(n + len(COMPONENT_ORDER))

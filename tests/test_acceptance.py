@@ -18,8 +18,8 @@ import numpy.testing as npt
 import pytest
 
 from taxcascade import (
+    COMPONENT_ORDER,
     CoefficientSystem,
-    DemandComponent,
     build_system,
     component_shares,
     effective_rates,
@@ -89,20 +89,20 @@ def test_3_component_and_intermediate_shares():
         printed = brazil2015.FINAL_INCIDENCE_TOTALS
         incidence = np.zeros((1, 6))
         for j, comp in enumerate(brazil2015.FOUR_COMPONENTS):
-            incidence[0, comp.column] = printed[j]
+            incidence[0, COMPONENT_ORDER.index(comp)] = printed[j]
         # the published grand total exceeds the four shown columns by the
         # incidence of the two columns the table omits; shares are quoted
         # against the grand total, so carry that remainder explicitly
-        incidence[0, DemandComponent.ISFLSF.column] = printed[4] - sum(printed[:4])
+        incidence[0, COMPONENT_ORDER.index("isflsf")] = printed[4] - sum(printed[:4])
         shares = component_shares(make_result(incidence))
         expected = {"exports": 6.7, "government": 3.2, "households": 76.0, "gfcf": 13.9}
         for comp in brazil2015.FOUR_COMPONENTS:
-            assert abs(shares[comp.column] - expected[comp.value]) <= 0.05, comp.value
+            assert abs(shares[COMPONENT_ORDER.index(comp)] - expected[comp]) <= 0.05, comp
 
         final_tax = np.zeros((1, 6))
         totals = brazil2015.FIRST_STAGE_TOTALS
         for comp in brazil2015.FOUR_COMPONENTS:
-            final_tax[0, comp.column] = totals[comp.value]
+            final_tax[0, COMPONENT_ORDER.index(comp)] = totals[comp]
         system = CoefficientSystem(
             activities=make_activities(1),
             intermediate_shares=np.zeros((1, 1)),
@@ -128,14 +128,14 @@ def published_rate_inputs():
     rates = brazil2015.TOTAL_EFFECTIVE_RATES
     column_spend = []
     for j, comp in enumerate(brazil2015.FOUR_COMPONENTS):
-        incidence[:, comp.column] = inc4[:, j]
+        incidence[:, COMPONENT_ORDER.index(comp)] = inc4[:, j]
         spend = printed[j] * (100.0 + rates[j]) / rates[j]
         column_spend.append(spend)
-        expenditure[:, comp.column] = spend * inc4[:, j] / inc4[:, j].sum()
+        expenditure[:, COMPONENT_ORDER.index(comp)] = spend * inc4[:, j] / inc4[:, j].sum()
     total_spend = printed[4] * (100.0 + rates[4]) / rates[4]
     rest = total_spend - sum(column_spend)
     assert rest > 0
-    expenditure[0, DemandComponent.ISFLSF.column] = rest
+    expenditure[0, COMPONENT_ORDER.index("isflsf")] = rest
     return make_result(incidence), expenditure
 
 
@@ -145,7 +145,7 @@ def test_4_published_total_effective_rates():
         report = effective_rates(result, expenditure)
         rates = brazil2015.TOTAL_EFFECTIVE_RATES
         for j, comp in enumerate(brazil2015.FOUR_COMPONENTS):
-            assert abs(report.rates[-1, comp.column] - rates[j]) <= 0.05, comp.value
+            assert abs(report.rates[-1, COMPONENT_ORDER.index(comp)] - rates[j]) <= 0.05, comp
         assert abs(report.rates[-1, 6] - rates[4]) <= 0.05
 
 
@@ -292,6 +292,6 @@ def test_10_official_bundle_cell_level():
         for row, code in enumerate(codes):
             i = index[code]
             for j, comp in enumerate(brazil2015.FOUR_COMPONENTS):
-                got = result.final_incidence[i, comp.column]
+                got = result.final_incidence[i, COMPONENT_ORDER.index(comp)]
                 want = inc4[row, j]
-                assert abs(got - want) <= 1.0, (code, comp.value, got, want)
+                assert abs(got - want) <= 1.0, (code, comp, got, want)

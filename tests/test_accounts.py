@@ -12,7 +12,6 @@ import pytest
 from taxcascade import (
     BundleError,
     COMPONENT_ORDER,
-    DemandComponent,
     IOAccounts,
     TaxDestinationTable,
     load_bundle,
@@ -35,15 +34,15 @@ def test_demo_bundle_loads(demo_manifest):
 
 
 def test_component_order_is_fixed():
-    assert [c.value for c in COMPONENT_ORDER] == [
+    assert COMPONENT_ORDER == (
         "exports",
         "government",
         "households",
         "isflsf",
         "gfcf",
         "inventory",
-    ]
-    assert DemandComponent.HOUSEHOLDS.column == 2
+    )
+    assert COMPONENT_ORDER.index("households") == 2
 
 
 MINIMAL_TABLES = {
@@ -63,7 +62,7 @@ def write_minimal_bundle(directory, *, delimiter=",", edits=None):
         "manifest.json": json.dumps(
             {
                 "activities": ["up", "down"],
-                "components": [c.value for c in COMPONENT_ORDER],
+                "components": list(COMPONENT_ORDER),
                 "delimiter": delimiter,
                 "tables": MINIMAL_TABLES,
             }
@@ -96,8 +95,8 @@ def test_alignment_by_header_and_code(tmp_path):
     assert accounts.codes == ("up", "down")
     # flows row "up" was written second and with columns reversed
     npt.assert_array_equal(accounts.flows, [[20.0, 40.0], [5.0, 10.0]])
-    assert accounts.finaldemand[0, DemandComponent.EXPORTS.column] == 5.0
-    assert accounts.finaldemand[0, DemandComponent.HOUSEHOLDS.column] == 30.0
+    assert accounts.finaldemand[0, COMPONENT_ORDER.index("exports")] == 5.0
+    assert accounts.finaldemand[0, COMPONENT_ORDER.index("households")] == 30.0
     npt.assert_array_equal(accounts.taxdest.intermediate, [[2.0, 4.0], [1.0, 1.0]])
     npt.assert_array_equal(accounts.taxdest.final[:, 2], [3.0, 3.0])
 
@@ -556,8 +555,8 @@ def test_validate_flags_negative_flow(accounts_factory):
 
 def test_negative_inventory_is_allowed(accounts_factory):
     fd = np.zeros((2, 6))
-    fd[0, DemandComponent.INVENTORY.column] = -4.0
-    fd[0, DemandComponent.EXPORTS.column] = 10.0
+    fd[0, COMPONENT_ORDER.index("inventory")] = -4.0
+    fd[0, COMPONENT_ORDER.index("exports")] = 10.0
     accounts = accounts_factory(flows=np.zeros((2, 2)), finaldemand=fd)
     report = validate(accounts)
     assert report.ok
@@ -565,8 +564,8 @@ def test_negative_inventory_is_allowed(accounts_factory):
 
 def test_negative_household_demand_is_not(accounts_factory):
     fd = np.zeros((2, 6))
-    fd[1, DemandComponent.HOUSEHOLDS.column] = -2.0
-    fd[1, DemandComponent.EXPORTS.column] = 8.0
+    fd[1, COMPONENT_ORDER.index("households")] = -2.0
+    fd[1, COMPONENT_ORDER.index("exports")] = 8.0
     accounts = accounts_factory(flows=np.zeros((2, 2)), finaldemand=fd)
     report = validate(accounts)
     assert [c.name for c in report.failed()] == ["finaldemand_signs"]

@@ -235,7 +235,7 @@ def test_recorded_totals_are_the_table_total_row(accounts):
     record = result_record(result, report, components=COMPONENT_ORDER)
     total_row = incidence_cells(record["final_incidence"], COMPONENT_ORDER)[-1]
     totals = record["totals"]
-    assert [totals["by_component"][c.value] for c in COMPONENT_ORDER] == total_row[:-1]
+    assert [totals["by_component"][c] for c in COMPONENT_ORDER] == total_row[:-1]
     assert totals["final_incidence"] == total_row[-1]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from taxcascade import (
-    DemandComponent,
+    COMPONENT_ORDER,
     apply_scenario,
     build_system,
     effective_rates,
@@ -76,7 +76,7 @@ def diverging_bundle(tmp_path, accounts_factory):
     until it overflows, while the closed form stays finite."""
     flows = np.array([[0.0, 15.0], [15.0, 0.0]])
     fd = np.zeros((2, 6))
-    fd[:, DemandComponent.INVENTORY.column] = -5.0
+    fd[:, COMPONENT_ORDER.index("inventory")] = -5.0
     dest = np.zeros((2, 8))
     dest[0, 1] = dest[1, 0] = 1.0
     accounts = accounts_factory(flows=flows, finaldemand=fd, dest=dest)
@@ -827,7 +827,7 @@ def test_non_finite_threshold_fails_before_writing(demo_manifest, tmp_path, caps
     assert not list(out.rglob("*"))
 
 
-def test_unknown_component_is_usage_error(demo_manifest, tmp_path):
+def test_unknown_component_is_usage_error(demo_manifest, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([
             "compute",
@@ -836,6 +836,20 @@ def test_unknown_component_is_usage_error(demo_manifest, tmp_path):
             "--out", str(tmp_path),
         ])
     assert exc.value.code == 2
+    assert (
+        "unknown component 'profits'; choose from "
+        "exports, government, households, isflsf, gfcf, inventory"
+    ) in capsys.readouterr().err
+
+
+def test_components_are_names_trimmed_lowercased_and_shown_in_canonical_order(
+    demo_manifest, tmp_path
+):
+    record = compute_demo(demo_manifest, tmp_path / "run", "--components", " GFCF,households")
+    assert record["report_components"] == ["households", "gfcf"]
+    for stem in ("final_incidence", "effective_rates"):
+        header = (tmp_path / "run" / f"{stem}.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == "code,label,households,gfcf,total", stem
 
 
 def test_components_subset_changes_tables(demo_manifest, tmp_path):
@@ -1034,7 +1048,7 @@ def test_diff_is_full_precision(demo_manifest, tmp_path):
         adjusted, _ = redistribute_margins(apply_scenario(accounts, scale))
         result = propagate_closed_form(build_system(adjusted))
         rates.append(effective_rates(result, adjusted.finaldemand, threshold=0.0).rates)
-    trade, exports = 2, DemandComponent.EXPORTS.column
+    trade, exports = 2, COMPONENT_ORDER.index("exports")
     want = rates[1][trade, exports] - rates[0][trade, exports]
     assert 0.005 < want < 0.01
     assert float(diff["trade"]["exports_delta"]) == pytest.approx(want, abs=1e-6)
@@ -1072,6 +1086,24 @@ def test_diff_row_mismatch(demo_manifest, tmp_path, capsys):
     ])
     assert rc == 1
     assert "row mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_diff_of_runs_showing_different_components_writes_nothing(
+    demo_manifest, tmp_path, capsys
+):
+    compute_demo(demo_manifest, tmp_path / "a")
+    compute_demo(demo_manifest, tmp_path / "b", "--components", "households,gfcf")
+    rc = main([
+        "diff", "--baseline", str(tmp_path / "a"), "--scenario", str(tmp_path / "b"),
+        "--out", str(tmp_path / "d"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: column mismatch: "
+        "['code', 'label', 'exports', 'government', 'households', 'gfcf', 'total'] vs "
+        "['code', 'label', 'households', 'gfcf', 'total']\n"
+    )
     assert not (tmp_path / "d").exists()
 
 
@@ -1380,7 +1412,7 @@ def test_package_names_load_on_first_use():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, taxcascade; "
-         "from taxcascade import DISPLAY_THRESHOLD, DemandComponent; "
+         "from taxcascade import DISPLAY_THRESHOLD, COMPONENT_ORDER; "
          "print('numpy' in sys.modules); "
          "from taxcascade import *; "
          "import taxcascade.accounts as accounts; "

@@ -543,8 +543,8 @@ def test_row_totals_are_numpys_bit_for_bit(matrix):
     st.sets(st.sampled_from(COMPONENT_ORDER), min_size=1),
 )
 def test_incidence_table_gives_diffs_cells_bit_for_bit(matrix, fortran, shown):
-    # compute's final-incidence table selects its cells from the array with_totals
-    # built; diff sums the record's cells again with incidence_cells
+    # the rates and result.json's totals come from the array with_totals built; the
+    # final-incidence table, compute's and diff's, sums the cells with incidence_cells
     matrix = np.asfortranarray(matrix) if fortran else matrix
     ours = rate_cells(with_totals(matrix).tolist(), tuple(shown))
     theirs = incidence_cells(matrix.tolist(), tuple(shown))

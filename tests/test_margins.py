@@ -58,7 +58,7 @@ def adjustment_record(adjustment):
 
 def read_margin_audit(path, codes):
     """The record that ``margin_adjustment.csv`` at ``path`` holds, for activities ``codes``."""
-    columns = {label: j for j, label in enumerate((*codes, *(c.value for c in COMPONENT_ORDER)))}
+    columns = {label: j for j, label in enumerate((*codes, *COMPONENT_ORDER))}
     record = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -320,7 +320,7 @@ def test_tables_can_render_all_components(tmp_path):
         make_result(fi), tmp_path / "all.csv", components=COMPONENT_ORDER
     )
     rows = read_csv(path)
-    assert rows[0][2:] == [c.value for c in COMPONENT_ORDER] + ["total"]
+    assert rows[0][2:] == [*COMPONENT_ORDER, "total"]
 
 
 @pytest.mark.parametrize("shape", [(0,), (5,), (0, 3), (3, 0), (3, 150), (150, 3)])
