@@ -57,10 +57,10 @@ class BundleError(ValueError):
     """Raised when a bundle cannot be loaded or fails its invariants."""
 
 
-# Header names with a fixed meaning in bundle tables; activity codes must not
-# collide with them (or with component names).
-_RESERVED_HEADERS = frozenset(
-    {"statutory", "supply", "marginshare", *COMPONENT_ORDER}
+# Header names with a fixed meaning in bundle tables (component names too), and
+# the output tables' last row; activity codes must not collide with them.
+_RESERVED_NAMES = frozenset(
+    {"statutory", "supply", "marginshare", *COMPONENT_ORDER, "Total"}
 )
 
 
@@ -687,11 +687,13 @@ def load_bundle(
 
     activities = []
     entries = _expect(manifest["activities"], list, f"{manifest_path}: activities")
+    if not entries:
+        raise BundleError(f"{manifest_path}: activities must not be empty")
     for i, entry in enumerate(entries):
         if isinstance(entry, str):
             code, label = entry, ""
         elif isinstance(entry, dict) and "code" in entry:
-            code, label = entry["code"], str(entry.get("label", ""))
+            code, label = entry["code"], entry.get("label", "")
         else:
             raise BundleError(
                 f"{manifest_path}: activities[{i}] must be a code or an object with a 'code', "
@@ -702,15 +704,19 @@ def load_bundle(
                 f"{manifest_path}: activities[{i}] code must be a non-empty string without "
                 f"surrounding spaces, got {code!r:.60}"
             )
+        if not isinstance(label, str):
+            raise BundleError(
+                f"{manifest_path}: activities[{i}] label must be a string, got {label!r:.60}"
+            )
         activities.append(Activity(i, code, label))
     codes = tuple(a.code for a in activities)
     dupes = sorted(code for code, k in Counter(codes).items() if k > 1)
     if dupes:
         raise BundleError(f"{manifest_path}: duplicate activity codes: {', '.join(listing(dupes))}")
-    clashes = sorted(set(codes) & _RESERVED_HEADERS)
+    clashes = sorted(set(codes) & _RESERVED_NAMES)
     if clashes:
         raise BundleError(
-            f"{manifest_path}: activity codes collide with reserved column names: "
+            f"{manifest_path}: activity codes collide with reserved names: "
             f"{', '.join(clashes)}"
         )
 

@@ -6,13 +6,13 @@ For each margin activity the margin fraction of every supply-row entry and
 every tax-destination entry is removed and handed, destination column by
 destination column, to the non-margin activities in proportion to their own
 supply into that column.  Totals are conserved exactly: total supply, every
-destination-column total, and total statutory tax are untouched.
+destination-column total, and total statutory tax are untouched.  The one record
+of what moved is :class:`MarginAdjustment`; its ``moved`` columns are those shared out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class MarginAdjustment:
     column; the weight base is the non-margin activities' supply into it,
     which the pools are shared out by.  With the input rows and the margin
     shares they rebuild the adjusted rows bit for bit.  The totals are sums
-    of everything removed.
+    of everything removed.  ``moved`` marks the columns with a nonzero pool.
     """
 
     activity_codes: tuple[str, ...]
@@ -45,6 +45,11 @@ class MarginAdjustment:
     total_supply_moved: float
     total_tax_moved: float
 
+    @property
+    def moved(self) -> np.ndarray:
+        """The destination columns that margin supply or tax is moved into."""
+        return (self.supply_pool != 0) | (self.tax_pool != 0)
+
 
 #: Destination columns adjusted at a time: the step's scratch is a few (n, MARGIN_BLOCK)
 #: arrays beside the input and the two adjusted tables.  At n = 1000 and 2000, blocks
@@ -52,11 +57,8 @@ class MarginAdjustment:
 MARGIN_BLOCK = 32
 
 
-def _strip(
-    rows: np.ndarray, margin: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The margin rows' removed part of ``rows`` (margin rows only), its column
-    sums and its total.
+def _strip(rows: np.ndarray, margin: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """The column sums and the total of the margin rows' removed part of ``rows``.
 
     Both sums run over a zero-filled table of ``rows``' shape and memory order:
     numpy sums pairwise, grouping cells by position, so summing the margin rows
@@ -64,7 +66,7 @@ def _strip(
     """
     removed = np.zeros_like(rows)
     removed[margin] = mu[margin, None] * rows[margin]
-    return removed[margin], removed.sum(axis=0), float(removed.sum())
+    return removed.sum(axis=0), float(removed.sum())
 
 
 def _column_sums(rows: np.ndarray) -> np.ndarray:
@@ -83,38 +85,24 @@ def _blocks(width: int) -> list[slice]:
     return [slice(a, a + MARGIN_BLOCK) for a in range(0, width, MARGIN_BLOCK)]
 
 
-class _Stripped(NamedTuple):
-    """The margin rows' parts, as :func:`_strip` gives them, of the supply table and of
-    the tax table, and the weight base: the non-margin rows' supply into each column."""
-
-    supply_rows: np.ndarray  # flows beside final demand: a copy the step adjusts in place
-    supply_removed: np.ndarray
-    supply_pool: np.ndarray
-    supply_moved: float
-    tax_removed: np.ndarray
-    tax_pool: np.ndarray
-    tax_moved: float
-    weight_base: np.ndarray
-
-    @property
-    def needs(self) -> np.ndarray:
-        """The destination columns that margin supply or tax is moved into."""
-        return (self.supply_pool != 0) | (self.tax_pool != 0)
-
-
-def _strip_margins(accounts: IOAccounts, margin: np.ndarray) -> _Stripped:
+def _strip_margins(accounts: IOAccounts, margin: np.ndarray) -> tuple[MarginAdjustment, np.ndarray]:
+    """The step's record, and the supply table it adjusts in place: flows beside final demand."""
     mu = accounts.marginshares
     supply_rows = np.hstack([accounts.flows, accounts.finaldemand])
     # Each table's transient in _strip is freed before the next is made.
-    supply = _strip(supply_rows, margin, mu)
-    tax = _strip(accounts.taxdest.dest, margin, mu)
+    supply_pool, supply_moved = _strip(supply_rows, margin, mu)
+    tax_pool, tax_moved = _strip(accounts.taxdest.dest, margin, mu)
     goods = ~margin
     blocks = _blocks(supply_rows.shape[1])
     weight_base = np.concatenate([_column_sums(supply_rows[:, b][goods]) for b in blocks])
-    return _Stripped(supply_rows, *supply, *tax, weight_base)
+    codes = accounts.codes
+    record = MarginAdjustment(
+        codes, codes + COMPONENT_ORDER, supply_pool, tax_pool, weight_base, supply_moved, tax_moved
+    )
+    return record, supply_rows
 
 
-def refusals(accounts: IOAccounts, stripped: _Stripped | None = None) -> dict[str, list[str]]:
+def refusals(accounts: IOAccounts) -> dict[str, list[str]]:
     """Why :func:`redistribute_margins` refuses ``accounts``: each reason, worded as its
     :class:`MarginError` words it, with every activity or destination column it names.
     Empty when the step can run.
@@ -122,21 +110,23 @@ def refusals(accounts: IOAccounts, stripped: _Stripped | None = None) -> dict[st
     The reasons, in the order the step raises them: a margin activity (positive
     share) with zero supply, and a destination column that receives margin supply
     or tax but no non-margin supply, so nothing weights its share-out.
-    ``stripped`` is the step's own :func:`_strip_margins`; without it, it is made here.
     """
     margin = accounts.marginshares > 0
     if not margin.any():
         return {}
-    stripped = stripped or _strip_margins(accounts, margin)
-    destinations = accounts.codes + COMPONENT_ORDER
-    dead = margin & (accounts.supply == 0)
-    blocked = stripped.needs & (stripped.weight_base == 0)
+    return _refused(accounts, _strip_margins(accounts, margin)[0])
+
+
+def _refused(accounts: IOAccounts, record: MarginAdjustment) -> dict[str, list[str]]:
+    """:func:`refusals`, given the step's record of ``accounts``."""
+    dead = (accounts.marginshares > 0) & (accounts.supply == 0)
+    blocked = record.moved & (record.weight_base == 0)
     found = {
         "margin share set on zero-supply activities": dead,
         "margin supply or tax destined to columns with no non-margin supply": blocked,
     }
     return {
-        reason: [destinations[i] for i in np.flatnonzero(bad)]
+        reason: [record.destination_labels[i] for i in np.flatnonzero(bad)]
         for reason, bad in found.items()
         if bad.any()
     }
@@ -157,20 +147,21 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     mu = accounts.marginshares
     margin = mu > 0
     n = accounts.n
-    codes = accounts.codes
-    destinations = codes + COMPONENT_ORDER
 
     if not margin.any():
         zeros = np.zeros(n + N_COMPONENTS)
-        return accounts, MarginAdjustment(codes, destinations, zeros, zeros, zeros, 0.0, 0.0)
+        codes = accounts.codes
+        record = MarginAdjustment(codes, codes + COMPONENT_ORDER, zeros, zeros, zeros, 0.0, 0.0)
+        return accounts, record
 
-    stripped = _strip_margins(accounts, margin)
-    found = refusals(accounts, stripped)
+    record, supply_rows = _strip_margins(accounts, margin)
+    found = _refused(accounts, record)
     if found:
         reason, names = next(iter(found.items()))
         raise MarginError(f"{reason}: {', '.join(listing(names))}")
-    supply_rows, weight_base, needs = stripped.supply_rows, stripped.weight_base, stripped.needs
+    weight_base, moved = record.weight_base, record.moved
     goods = ~margin
+    shares = mu[margin, None]
 
     # Column-major only when both tables are, as the outputs have always been:
     # numpy's row sums round by memory order.
@@ -178,17 +169,15 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
     for b in _blocks(n + N_COMPONENTS):
         weights = np.divide(
             supply_rows[:, b], weight_base[b],
-            out=np.zeros((n, len(weight_base[b]))), where=goods[:, None] & needs[b],
+            out=np.zeros((n, len(weight_base[b]))), where=goods[:, None] & moved[b],
         )
-        for rows, removed, pool in (
-            (supply_rows, stripped.supply_removed, stripped.supply_pool),
-            (tax_rows, stripped.tax_removed, stripped.tax_pool),
-        ):
+        for rows, pool in ((supply_rows, record.supply_pool), (tax_rows, record.tax_pool)):
             # Reallocated minus removed, in this order, so that the input and the
             # record rebuild these rows bit for bit by the rule in the README.
             # Goods rows have nothing removed, and x - 0.0 is x, -0.0 included.
+            # The removed part is _strip's product, taken before the block changes.
             step = weights * pool[b]
-            step[margin] -= removed[:, b]
+            step[margin] -= shares * rows[margin, b]
             rows[:, b] += step
     adjusted = IOAccounts(
         activities=accounts.activities,
@@ -200,12 +189,4 @@ def redistribute_margins(accounts: IOAccounts) -> tuple[IOAccounts, MarginAdjust
         ),
         marginshares=np.zeros(n),
     )
-    return adjusted, MarginAdjustment(
-        activity_codes=codes,
-        destination_labels=destinations,
-        supply_pool=stripped.supply_pool,
-        tax_pool=stripped.tax_pool,
-        weight_base=weight_base,
-        total_supply_moved=stripped.supply_moved,
-        total_tax_moved=stripped.tax_moved,
-    )
+    return adjusted, record

@@ -95,7 +95,7 @@ def write_margin_audit(adjustment: MarginAdjustment, path: str | Path) -> Path:
     """Supply pool, tax pool and weight base of each destination column a margin
     activity gave up supply or tax into, at full precision."""
     columns = (adjustment.supply_pool, adjustment.tax_pool, adjustment.weight_base)
-    listed = np.flatnonzero((columns[0] != 0) | (columns[1] != 0)).tolist()
+    listed = np.flatnonzero(adjustment.moved).tolist()
     rows = [
         [adjustment.destination_labels[d], *(repr(float(c[d])) for c in columns)]
         for d in listed

@@ -134,8 +134,9 @@ def _is_table(value, rows: int, width: int) -> bool:
 def read_result_json(path: Path) -> dict:
     """The record in ``path``; ValueError naming the file if it lacks a key diff reads,
     if its labels or matrices do not have one row per activity (and Total), and also
-    the key and the cell if a matrix cell is not a JSON number (``Infinity`` and ``NaN``
-    are not) or ``null``, or a shown component not one of :data:`COMPONENT_ORDER`."""
+    the key and the entry if its activities or labels are not strings, a matrix cell
+    not a JSON number (``Infinity`` and ``NaN`` are not) or ``null``, or a shown
+    component not one of :data:`COMPONENT_ORDER`."""
     try:
         record = json.loads(path.read_text(encoding="utf-8"), parse_constant=str)
     except json.JSONDecodeError as exc:
@@ -144,10 +145,17 @@ def read_result_json(path: Path) -> dict:
     missing = [key for key in keys if not isinstance(record, dict) or key not in record]
     if missing:
         raise ValueError(f"{path}: no {', '.join(missing)}; recompute this run to diff it")
+    for key in ("activities", "labels"):
+        names = record[key]
+        if not isinstance(names, list):
+            raise ValueError(f"{path}: {key} must be an array of strings, got {names!r:.60}")
+        for i, name in enumerate(names):
+            if not isinstance(name, str):
+                raise ValueError(f"{path}: {key}[{i}] must be a string, got {name!r:.60}")
     n = len(record["activities"])
     shapes = {"final_incidence": (n, N_COMPONENTS), "effective_rates": (n + 1, N_COMPONENTS + 1)}
     wrong = [key for key, shape in shapes.items() if not _is_table(record[key], *shape)]
-    if not (isinstance(record["labels"], list) and len(record["labels"]) == n):
+    if len(record["labels"]) != n:
         wrong.insert(0, "labels")
     if wrong:
         raise ValueError(

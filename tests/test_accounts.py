@@ -370,6 +370,15 @@ MALFORMED_MANIFESTS = [
         {"tables": {**MINIMAL_TABLES, "metadata": 5}},
         "tables['metadata'] must be a string, got 5",
     ),
+    # a label is written into every output table: None would be written as "None"
+    ({"activities": ["up", {"code": "down", "label": None}]},
+     "activities[1] label must be a string, got None"),
+    ({"activities": [{"code": "up", "label": 5}, "down"]},
+     "activities[0] label must be a string, got 5"),
+    # refused before a table is read, not blamed on the first table's columns
+    ({"activities": []}, "activities must not be empty"),
+    # the output tables' last row is Total: a second would make every table ambiguous
+    ({"activities": ["up", "Total"]}, "activity codes collide with reserved names: Total"),
 ]
 
 

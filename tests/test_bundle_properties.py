@@ -21,7 +21,7 @@ from taxcascade import (
     save_bundle,
 )
 import taxcascade.accounts
-from taxcascade.accounts import _RESERVED_HEADERS, read_table
+from taxcascade.accounts import _RESERVED_NAMES, read_table
 
 EDGE_VALUES = [
     0.0,
@@ -38,7 +38,7 @@ EDGE_VALUES = [
 CELLS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False))
 # Codes with delimiters and quotes inside, so that the writer quotes them.
 CODES = st.text(alphabet='ab1é,;" ', min_size=1, max_size=5).filter(
-    lambda code: code == code.strip() and code not in _RESERVED_HEADERS
+    lambda code: code == code.strip() and code not in _RESERVED_NAMES
 )
 
 

@@ -1182,10 +1182,17 @@ def set_cell(key, i, j, value):
             "report_components",
             "'exports'",
         ),
+        # the code and label columns of every diff row: each entry must be a string
+        (lambda record: record.update(activities=None), "activities", "None"),
+        (lambda record: record.update(activities=5), "activities", "5"),
+        (lambda record: record.update(activities=["farm", 2, "trade"]), "activities[1]", "2"),
+        (lambda record: record.update(labels={}), "labels", "{}"),
+        (lambda record: record.update(labels=["a", "b", None]), "labels[2]", "None"),
     ],
     ids=[
         "list-cell", "string-cell", "true-cell", "object-rate", "infinity-cell",
         "minus-infinity-rate", "nan-cell", "unknown-component", "no-array",
+        "null-activities", "number-activities", "number-code", "object-labels", "null-label",
     ],
 )
 def test_diff_reads_only_numbers(demo_manifest, tmp_path, capsys, edit, where, got):
